@@ -19,7 +19,7 @@ import sys
 from .build import (EQUIV_CAP, GRAFT_CAP, PAIR_CAP, burling_pair,
                     build_graft, check_equivalence)
 from .coloring import bounds_only, chromatic_number, find_non_rainbow_coloring
-from .errors import BurlingError, CapError, SearchBudgetExceeded
+from .errors import BurlingError, CapError, FormatError, SearchBudgetExceeded
 from .fuzz import FuzzSequence, dump_failure, generate_sequence, run_sequence
 from .graph import Graft
 from .io import (graph_from_json, graph_to_dot, graph_to_json, load_graft,
@@ -98,7 +98,7 @@ def _cmd_generate(a) -> int:
 def _cmd_verify(a) -> int:
     g, tips, _name = _read_graph(a.infile)
     gf = Graft(g, frozenset() if tips is None else tips)
-    rep = is_clean(gf, budget=a.budget, threads=a.threads)
+    rep = is_clean(gf, budget=a.budget)
     for label, verdict in rep.items():
         if verdict.holds:
             print(f"{label}: HOLDS (explored={verdict.nodes})")
@@ -145,14 +145,18 @@ def _cmd_equiv(a) -> int:
 def _load_script(path: str, seed: int) -> FuzzSequence:
     with open(path) as fh:
         descs = parse_script(fh.read())
-    base = os.path.dirname(os.path.abspath(path))
+    base = os.path.realpath(os.path.dirname(os.path.abspath(path)))
     sides: dict[str, object] = {}
     ops = []
     for d in descs:
         if d[0] == "join":
             name = d[2]
             if name not in sides:
-                with open(os.path.join(base, name)) as fh:
+                side = os.path.realpath(os.path.join(base, name))
+                if os.path.commonpath([base, side]) != base:
+                    raise FormatError(f"side graft @{name} lies outside "
+                                      "the script's directory")
+                with open(side) as fh:
                     sides[name] = load_graft(fh)
             ops.append(("join", tuple(d[1]), name))
         else:
@@ -210,7 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--budget", type=int,
                    help="search-node limit per condition")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("chroma", help="chromatic certificates")

@@ -48,11 +48,13 @@ class Graph:
         object.__setattr__(self, "adj", tuple(adj))
 
     # Internal fast path for rows already known to be symmetric and loop-free.
+    # Rows are stored as a tuple whatever sequence comes in, so equality and
+    # hashing never depend on how the graph was built.
     @classmethod
-    def _raw(cls, n: int, adj: tuple[int, ...]) -> "Graph":
+    def _raw(cls, n: int, adj: Sequence[int]) -> "Graph":
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
-        object.__setattr__(g, "adj", adj)
+        object.__setattr__(g, "adj", tuple(adj))
         return g
 
     @classmethod
@@ -65,7 +67,7 @@ class Graph:
                 raise InvalidArgumentError(f"self-loop at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls._raw(n, tuple(rows))
+        return cls._raw(n, rows)
 
     @classmethod
     def from_adj(cls, adj: Sequence[int]) -> "Graph":
@@ -160,7 +162,7 @@ class Graph:
             for w in bits(inter):
                 row |= 1 << relabel[w]
             rows.append(row)
-        return Graph._raw(len(kept), tuple(rows)), relabel
+        return Graph._raw(len(kept), rows), relabel
 
     def delete_vertices(self, vertices: Iterable[int]) -> tuple["Graph", dict[int, int]]:
         """The graph with ``vertices`` removed, plus the relabel map for the

@@ -23,10 +23,15 @@ __all__ = [
     "graph_to_json", "graph_from_json",
     "dump_graph", "load_graph", "dump_graft", "load_graft",
     "graph_to_dot", "witness_doc", "witness_to_json", "witness_from_json",
-    "format_script", "parse_script",
+    "format_script", "parse_script", "MAX_FILE_VERTICES",
 ]
 
 _GRAPH_KEYS = {"n", "edges", "tips", "name"}
+
+# Largest vertex count a graph file may declare. A file's n sizes the
+# adjacency rows before any edge is read, so it is checked first. The
+# largest graph the CLI writes, graft level 5, has 72,501 vertices.
+MAX_FILE_VERTICES = 1 << 17
 
 
 def graph_to_json(g: Graph, tips: frozenset[int] | None = None,
@@ -56,6 +61,9 @@ def _parse_doc(text: str) -> dict:
             raise FormatError(f"missing required key {key!r}")
     if not isinstance(doc["n"], int) or isinstance(doc["n"], bool) or doc["n"] < 0:
         raise FormatError("'n' must be a non-negative integer")
+    if doc["n"] > MAX_FILE_VERTICES:
+        raise FormatError(f"'n' is {doc['n']}, above the limit of "
+                          f"{MAX_FILE_VERTICES} vertices")
     if not isinstance(doc["edges"], list):
         raise FormatError("'edges' must be a list")
     return doc

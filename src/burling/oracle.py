@@ -205,34 +205,43 @@ def _find_in_mask(adj, mask, vs, degs, kind, k, tip_mask):
     raise InvalidArgumentError(f"unknown oracle pattern {kind!r}")
 
 
-def _check_cap(g: Graph):
+def _first_witnesses(g: Graph, tips, kinds, k: int) -> dict:
+    """One pass over all subsets in mask order: {kind: first witness or
+    None} for each kind in kinds, stopping once every kind is found."""
     if g.n > ORACLE_MAX:
         raise CapError(
             f"oracle is capped at {ORACLE_MAX} vertices, got {g.n}")
-
-
-def oracle_contains(g: Graph, tips, kind: str, k: int = 3):
-    """First subset (in mask order) inducing the pattern, as a Witness."""
-    _check_cap(g)
-    if kind not in _KINDS:
-        raise InvalidArgumentError(f"unknown oracle pattern {kind!r}")
-    if kind in _TIP_KINDS and tips is None:
-        raise InvalidArgumentError(f"pattern {kind!r} needs tips")
     tip_mask = 0
     if tips is not None:
         for t in tips:
             g.check_vertex(t)
             tip_mask |= 1 << t
+    found = dict.fromkeys(kinds)
+    missing = len(found)
     adj = g.adj
     for mask in range(1, 1 << g.n):
         if mask.bit_count() < 3:
             continue
         vs = list(bits(mask))
         degs = [(adj[v] & mask).bit_count() for v in vs]
-        w = _find_in_mask(adj, mask, vs, degs, kind, k, tip_mask)
-        if w is not None:
-            return w
-    return None
+        for kd in kinds:
+            if found[kd] is None:
+                w = _find_in_mask(adj, mask, vs, degs, kd, k, tip_mask)
+                if w is not None:
+                    found[kd] = w
+                    missing -= 1
+        if not missing:
+            break
+    return found
+
+
+def oracle_contains(g: Graph, tips, kind: str, k: int = 3):
+    """First subset (in mask order) inducing the pattern, as a Witness."""
+    if kind not in _KINDS:
+        raise InvalidArgumentError(f"unknown oracle pattern {kind!r}")
+    if kind in _TIP_KINDS and tips is None:
+        raise InvalidArgumentError(f"pattern {kind!r} needs tips")
+    return _first_witnesses(g, tips, (kind,), k)[kind]
 
 
 def oracle_scan(g: Graph, tips=None, k: int = 3) -> dict[str, bool]:
@@ -242,28 +251,7 @@ def oracle_scan(g: Graph, tips=None, k: int = 3) -> dict[str, bool]:
     tip-aware ones when tips is given. Used by the bulk detector-vs-
     oracle comparison, where per-kind passes would be too slow.
     """
-    _check_cap(g)
-    kinds = list(_KINDS) if tips is not None else [
-        kd for kd in _KINDS if kd not in _TIP_KINDS]
-    tip_mask = 0
-    if tips is not None:
-        for t in tips:
-            g.check_vertex(t)
-            tip_mask |= 1 << t
-    found = {kd: False for kd in kinds}
-    missing = len(kinds)
-    adj = g.adj
-    for mask in range(1, 1 << g.n):
-        if mask.bit_count() < 3:
-            continue
-        vs = list(bits(mask))
-        degs = [(adj[v] & mask).bit_count() for v in vs]
-        for kd in kinds:
-            if found[kd]:
-                continue
-            if _find_in_mask(adj, mask, vs, degs, kd, k, tip_mask) is not None:
-                found[kd] = True
-                missing -= 1
-        if not missing:
-            break
-    return found
+    kinds = _KINDS if tips is not None else tuple(
+        kd for kd in _KINDS if kd not in _TIP_KINDS)
+    found = _first_witnesses(g, tips, kinds, k)
+    return {kd: w is not None for kd, w in found.items()}

@@ -6,16 +6,19 @@ Witness on success; a node budget can bound the search, in which case
 running out raises SearchBudgetExceeded (inconclusive) rather than ever
 reporting a truncated search as "holds".
 
-The hole/wheel core is a DFS over induced paths grown from an anchor,
-with a banned-vertex mask enforcing inducedness: extending past u bans
-N(u), so later vertices cannot chord back. Vertices adjacent to the
-anchor may only close a cycle, never sit inside the path.
+Every detector is a short wrapper around one search kernel, `_paths`,
+a DFS over induced paths with a banned-vertex mask: extending past u bans
+N(u), so later vertices cannot chord back. A path grows from a fixed head
+through root and interior vertices and finishes on a closer, a neighbour
+of its end drawn from a close mask. Cycles (triangles, holes, wheel rims)
+close on neighbours of the head vertex, theta branches on the far branch
+vertex, fans and mountable paths on an end vertex once the path carries
+enough pivot neighbours or tips. Pruning lives only in the kernel, so a
+new prune is written once and every detector gets it.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -36,8 +39,9 @@ __all__ = [
 # Largest graph a detector will search without an explicit budget.
 UNBUDGETED_MAX = 64
 
-# Detectors count search nodes locally and flush in batches of this size,
-# so an exceeded budget may overshoot by at most one batch per thread.
+# The kernel counts search nodes locally and flushes in batches of this
+# size, so an exceeded budget may overshoot by at most one batch per open
+# search.
 _FLUSH = 1024
 
 
@@ -48,26 +52,23 @@ class SearchBudget:
     report how much work a verdict took.
     """
 
-    __slots__ = ("limit", "nodes", "_lock")
+    __slots__ = ("limit", "nodes")
 
     def __init__(self, limit: int | None = None):
         if limit is not None and limit <= 0:
             raise InvalidArgumentError("budget limit must be positive")
         self.limit = limit
         self.nodes = 0
-        self._lock = threading.Lock()
 
     def spend(self, k: int) -> None:
         """Add k nodes; raise once past the limit."""
-        with self._lock:
-            self.nodes += k
-            if self.limit is not None and self.nodes > self.limit:
-                raise SearchBudgetExceeded(self.nodes)
+        self.nodes += k
+        if self.limit is not None and self.nodes > self.limit:
+            raise SearchBudgetExceeded(self.nodes)
 
     def charge(self, k: int) -> None:
         """Add k nodes without enforcing the limit (final flushes)."""
-        with self._lock:
-            self.nodes += k
+        self.nodes += k
 
 
 def _budget_for(g: Graph, budget) -> SearchBudget:
@@ -82,60 +83,45 @@ def _budget_for(g: Graph, budget) -> SearchBudget:
     return SearchBudget(int(budget))
 
 
-# -- triangles -------------------------------------------------------------
+# -- the search kernel --------------------------------------------------------
 
-def find_triangle(g: Graph, budget=None):
-    """First triangle in lexicographic order, or None."""
-    b = _budget_for(g, budget)
-    adj = g.adj
-    local = 0
-    try:
-        for u in range(g.n):
-            above_u = adj[u] >> (u + 1) << (u + 1)
-            for v in bits(above_u):
-                local += 1
-                if local >= _FLUSH:
-                    b.spend(local)
-                    local = 0
-                common = adj[u] & (adj[v] >> (v + 1) << (v + 1))
-                if common:
-                    w = (common & -common).bit_length() - 1
-                    return Witness("triangle", (u, v, w))
-    finally:
-        b.charge(local)
-    return None
+def _paths(g: Graph, head: list[int], roots: int, interior: int, close: int,
+           budget: SearchBudget, count: int = 0, need: int = 0):
+    """Yield induced paths head + [r, ..., c] as vertex lists.
 
+    r is a vertex of roots, the vertices between r and c lie in interior,
+    and c, the closer, is a neighbour of the path's end from close. The
+    head is taken as given: the caller makes roots, interior and close
+    fit it. A path must carry at least need vertices of count. A closer
+    that brings the path to need finishes it and is never entered; other
+    vertices of close are entered only if they lie in interior. Roots are
+    searched in increasing order, closers yielded in increasing order,
+    and children popped in increasing order.
 
-# -- holes and wheels -------------------------------------------------------
+    Two cuts, both applied at each node v before its children are
+    pushed. They rest on the banned mask: a vertex joins or closes the
+    path only if it is outside banned, and banned only grows down a
+    branch. It starts as every vertex outside interior and close plus
+    the root, and each child c of v gets banned | N(v) | {c}, which also
+    keeps the path induced. So:
 
-def _canon_cycle(cyc: tuple[int, ...]) -> tuple[int, ...]:
-    """Rotate/reflect so the lowest vertex leads, lower neighbor second."""
-    i = cyc.index(min(cyc))
-    rot = cyc[i:] + cyc[:i]
-    rev = (rot[0],) + tuple(reversed(rot[1:]))
-    return min(rot, rev)
-
-
-def _hole_scan(g: Graph, s: int, allowed: int, min_len: int,
-               budget: SearchBudget, hub_adj: int = 0, min_hits: int = 0,
-               stop=None):
-    """Yield induced cycles through anchor s as vertex lists.
-
-    Non-anchor vertices are confined to the allowed mask. Each cycle is
-    produced once: only the direction whose second vertex is smaller than
-    its last survives. With hub_adj/min_hits set, cycles must carry at
-    least min_hits vertices of hub_adj and hopeless branches are pruned.
+    - count: every vertex of count a path below v can still take lies
+      outside banned. If the path's hits plus those are below need, no
+      path below v (nor v's own closers) can reach need.
+    - close: a closer must be an unbanned neighbour of the path's end,
+      so every closer below v lies outside banned | N(v). If close has
+      no vertex there, no path below v can finish; v's own closers are
+      yielded and its children are not pushed.
     """
     adj = g.adj
-    full = (1 << g.n) - 1
-    allowed &= full & ~(1 << s)
-    adjs = adj[s]
-    base = (full ^ allowed) | (1 << s)
-    hits0 = hub_adj >> s & 1
-    path = [s]
+    path = list(head)
+    hits = sum(count >> u & 1 for u in head)
+    banned = ((1 << g.n) - 1) & ~(interior | close)
     stack = []
-    for v1 in reversed(list(bits(adjs & allowed))):
-        stack.append((v1, base | (1 << v1), hits0 + (hub_adj >> v1 & 1), 1))
+    while roots:
+        r = roots.bit_length() - 1
+        roots ^= 1 << r
+        stack.append((r, banned | 1 << r, hits + (count >> r & 1), len(head)))
     local = 0
     try:
         while stack:
@@ -144,28 +130,78 @@ def _hole_scan(g: Graph, s: int, allowed: int, min_len: int,
             if local >= _FLUSH:
                 budget.spend(local)
                 local = 0
-                if stop is not None and stop.is_set():
-                    return
             del path[depth:]
             path.append(v)
-            if min_hits and hits + (hub_adj & ~banned).bit_count() < min_hits:
+            if need and hits + (count & ~banned).bit_count() < need:
                 continue
-            cands = adj[v] & ~banned
-            if depth >= min_len - 2:
-                closing = cands & adjs
-                if closing:
-                    first = path[1]
-                    for c in bits(closing):
-                        if c < first:
-                            continue
-                        if min_hits and hits + (hub_adj >> c & 1) < min_hits:
-                            continue
-                        yield path + [c]
-            for c in reversed(list(bits(cands & ~adjs))):
-                stack.append((c, banned | (1 << c) | adj[v],
-                              hits + (hub_adj >> c & 1), depth + 1))
+            free = adj[v] & ~banned
+            if hits >= need:
+                done = free & close
+            elif hits + 1 == need:
+                done = free & close & count
+            else:
+                done = 0
+            m = done
+            while m:
+                c = m & -m
+                m ^= c
+                yield path + [c.bit_length() - 1]
+            m = free & interior & ~done
+            if not m or not close & ~(banned | adj[v]):
+                continue
+            banned |= adj[v]
+            while m:
+                c = m.bit_length() - 1
+                m ^= 1 << c
+                stack.append((c, banned | 1 << c, hits + (count >> c & 1),
+                              depth + 1))
     finally:
         budget.charge(local)
+
+
+def _above(v: int, mask: int) -> int:
+    return mask >> (v + 1) << (v + 1)
+
+
+def _cycles(g: Graph, s: int, allowed: int, budget: SearchBudget,
+            count: int = 0, need: int = 0):
+    """Yield induced cycles through s as vertex lists [s, v1, ..., c].
+
+    The other vertices lie in allowed. Each cycle comes once: its closer
+    c lies above v1, so of its two directions only one survives.
+    """
+    ns = g.adj[s] & allowed
+    interior = allowed & ~ns & ~(1 << s)
+    for v1 in bits(ns):
+        yield from _paths(g, [s], 1 << v1, interior, _above(v1, ns), budget,
+                          count, need)
+
+
+# -- triangles, holes and wheels ----------------------------------------------
+
+def find_triangle(g: Graph, budget=None):
+    """First triangle in lexicographic order, or None.
+
+    A triangle u < v < w is the path u-v closed by w. For each u the
+    roots v and closers w are the neighbours of u above u; the first
+    closer found lies above its root, since a root w < v with closer v
+    would have been searched first.
+    """
+    b = _budget_for(g, budget)
+    for u in range(g.n):
+        up = _above(u, g.adj[u])
+        if up:
+            for tri in _paths(g, [u], up, 0, up, b):
+                return Witness("triangle", tuple(tri))
+    return None
+
+
+def _canon_cycle(cyc: tuple[int, ...]) -> tuple[int, ...]:
+    """Rotate/reflect so the lowest vertex leads, lower neighbor second."""
+    i = cyc.index(min(cyc))
+    rot = cyc[i:] + cyc[:i]
+    rev = (rot[0],) + tuple(reversed(rot[1:]))
+    return min(rot, rev)
 
 
 def find_hole(g: Graph, min_len: int = 4, budget=None):
@@ -181,88 +217,47 @@ def find_hole(g: Graph, min_len: int = 4, budget=None):
 def _hole_iter(g: Graph, min_len: int, b: SearchBudget):
     full = (1 << g.n) - 1
     for s in range(g.n):
-        above = full >> (s + 1) << (s + 1)
-        for cyc in _hole_scan(g, s, above, min_len, b):
-            yield Witness("hole", tuple(cyc))
-
-
-def _wheel_at_hub(g: Graph, h: int, k: int, budget: SearchBudget, stop):
-    """Smallest-anchor wheel search around one candidate hub."""
-    if stop is not None and stop.is_set():
-        return None
-    full = (1 << g.n) - 1
-    nh = g.adj[h]
-    for a in bits(nh):
-        allowed = full & ~(1 << h) & ~(nh & ((1 << a) - 1))
-        for cyc in _hole_scan(g, a, allowed, 4, budget,
-                              hub_adj=nh, min_hits=k, stop=stop):
-            rim = _canon_cycle(tuple(cyc))
-            hit = tuple(v for v in rim if nh >> v & 1)
-            return Witness("wheel", rim, center=h, k=len(hit), hits=hit)
-    return None
+        for cyc in _cycles(g, s, _above(s, full), b):
+            if len(cyc) >= min_len:
+                yield Witness("hole", tuple(cyc))
 
 
 def find_wheel(g: Graph, k: int = 3, budget=None, threads: int = 1):
     """A hole plus an off-hole hub with >= k neighbors on it, or None.
 
     Hub-first: each vertex of degree >= k is tried as the hub, anchoring
-    the rim DFS at its smallest rim neighbor. Single-threaded runs return
-    the first witness in that fixed order; threaded runs may return any.
+    the rim DFS at its smallest rim neighbor. The first witness in that
+    fixed order is returned. threads is kept for existing callers and
+    must be 1: threads give this pure-Python search no speedup.
     """
     if k < 3:
         raise InvalidArgumentError("wheels need k >= 3")
+    if threads != 1:
+        raise InvalidArgumentError(f"threads must be 1, got {threads}")
     b = _budget_for(g, budget)
-    hubs = [h for h in range(g.n) if g.adj[h].bit_count() >= k]
-    if threads <= 1:
-        for h in hubs:
-            w = _wheel_at_hub(g, h, k, b, None)
-            if w is not None:
-                return w
-        return None
-    stop = threading.Event()
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        futures = [ex.submit(_wheel_at_hub, g, h, k, b, stop) for h in hubs]
-        try:
-            for f in as_completed(futures):
-                w = f.result()
-                if w is not None:
-                    return w
-            return None
-        finally:
-            stop.set()
+    full = (1 << g.n) - 1
+    for h in range(g.n):
+        nh = g.adj[h]
+        if nh.bit_count() < k:
+            continue
+        for a in bits(nh):
+            allowed = full & ~(1 << h) & ~(nh & ((1 << a) - 1))
+            for cyc in _cycles(g, a, allowed, b, nh, k):
+                if len(cyc) >= 4:
+                    rim = _canon_cycle(tuple(cyc))
+                    hit = tuple(v for v in rim if nh >> v & 1)
+                    return Witness("wheel", rim, center=h, k=len(hit),
+                                   hits=hit)
+    return None
 
 
 # -- thetas -----------------------------------------------------------------
 
 def _ab_paths(g: Graph, a: int, t: int, allowed: int, budget: SearchBudget):
     """Yield induced a-t paths (length >= 2) with interiors in allowed."""
-    adj = g.adj
-    full = (1 << g.n) - 1
-    allowed &= full & ~(1 << a) & ~(1 << t)
-    base = full ^ allowed
-    tbit = 1 << t
-    path = [a]
-    stack = []
-    for v1 in reversed(list(bits(adj[a] & allowed))):
-        stack.append((v1, base | (1 << v1) | adj[a], 1))
-    local = 0
-    try:
-        while stack:
-            v, banned, depth = stack.pop()
-            local += 1
-            if local >= _FLUSH:
-                budget.spend(local)
-                local = 0
-            del path[depth:]
-            path.append(v)
-            if adj[v] & tbit:
-                # a neighbor of t must be the last interior vertex
-                yield path + [t]
-                continue
-            for c in reversed(list(bits(adj[v] & ~banned))):
-                stack.append((c, banned | (1 << c) | adj[v], depth + 1))
-    finally:
-        budget.charge(local)
+    na = g.adj[a]
+    allowed &= ~(1 << a) & ~(1 << t)
+    return _paths(g, [a], na & allowed, allowed & ~na, 1 << t, budget)
 
 
 def find_theta(g: Graph, budget=None):
@@ -295,48 +290,18 @@ def find_theta(g: Graph, budget=None):
 
 # -- fans, guarded fans, mountable paths -------------------------------------
 
-def _fan_scan(g: Graph, pivot: int, k: int, seed_mask: int, end_mask: int,
-              budget: SearchBudget, stop=None):
-    """DFS for an induced path avoiding pivot, starting in seed_mask,
-    ending in end_mask, with >= k pivot neighbors on it.
+def _fan(g: Graph, kind: str, pivot: int, k: int, ends: int,
+         budget: SearchBudget):
+    """An induced path avoiding pivot, both ends in ends, with >= k pivot
+    neighbors on it, as a witness of the given kind; or None.
     """
-    adj = g.adj
-    nf = adj[pivot]
-    full = (1 << g.n) - 1
-    allowed = full & ~(1 << pivot)
-    base = full ^ allowed
-    path = []
-    stack = []
-    for v0 in reversed(list(bits(seed_mask & allowed))):
-        stack.append((v0, base | (1 << v0), nf >> v0 & 1, 0))
-    local = 0
-    try:
-        while stack:
-            v, banned, hits, depth = stack.pop()
-            local += 1
-            if local >= _FLUSH:
-                budget.spend(local)
-                local = 0
-                if stop is not None and stop.is_set():
-                    return None
-            del path[depth:]
-            path.append(v)
-            if hits + (nf & ~banned).bit_count() < k:
-                continue
-            if hits >= k and end_mask >> v & 1:
-                return list(path)
-            for c in reversed(list(bits(adj[v] & ~banned))):
-                stack.append((c, banned | (1 << c) | adj[v],
-                              hits + (nf >> c & 1), depth + 1))
-    finally:
-        budget.charge(local)
-    return None
-
-
-def _fan_witness(g: Graph, kind: str, pivot: int, path: list[int]) -> Witness:
     nf = g.adj[pivot]
-    hit = tuple(v for v in path if nf >> v & 1)
-    return Witness(kind, tuple(path), center=pivot, k=len(hit), hits=hit)
+    interior = ((1 << g.n) - 1) & ~(1 << pivot)
+    ends &= interior
+    for path in _paths(g, [], ends, interior, ends, budget, nf, k):
+        hit = tuple(v for v in path if nf >> v & 1)
+        return Witness(kind, tuple(path), center=pivot, k=len(hit), hits=hit)
+    return None
 
 
 def find_fan(g: Graph, k: int = 3, budget=None):
@@ -346,11 +311,10 @@ def find_fan(g: Graph, k: int = 3, budget=None):
     b = _budget_for(g, budget)
     full = (1 << g.n) - 1
     for f in range(g.n):
-        if g.adj[f].bit_count() < k:
-            continue
-        path = _fan_scan(g, f, k, full, full, b)
-        if path is not None:
-            return _fan_witness(g, "fan", f, path)
+        if g.adj[f].bit_count() >= k:
+            w = _fan(g, "fan", f, k, full, b)
+            if w is not None:
+                return w
     return None
 
 
@@ -360,11 +324,10 @@ def find_guarded_fan(gf: Graft, budget=None):
     b = _budget_for(g, budget)
     tm = gf.tip_mask
     for f in range(g.n):
-        if g.adj[f].bit_count() < 3:
-            continue
-        path = _fan_scan(g, f, 3, tm, tm, b)
-        if path is not None:
-            return _fan_witness(g, "guarded-fan", f, path)
+        if g.adj[f].bit_count() >= 3:
+            w = _fan(g, "guarded-fan", f, 3, tm, b)
+            if w is not None:
+                return w
     return None
 
 
@@ -376,43 +339,12 @@ def find_mountable_path(gf: Graft, budget=None):
     """
     g = gf.graph
     b = _budget_for(g, budget)
-    adj = g.adj
     tm = gf.tip_mask
     if tm.bit_count() < 3:
-        b.charge(1)
         return None
-    path = []
-    stack = []
-    for v0 in reversed(list(bits(tm))):
-        stack.append((v0, 1 << v0, 1, 0))
-    local = 0
-    try:
-        while stack:
-            v, banned, tc, depth = stack.pop()
-            local += 1
-            if local >= _FLUSH:
-                b.spend(local)
-                local = 0
-            del path[depth:]
-            path.append(v)
-            if tc + (tm & ~banned).bit_count() < 3:
-                continue
-            cands = adj[v] & ~banned
-            if tc == 2:
-                closing = cands & tm
-                if closing:
-                    c = (closing & -closing).bit_length() - 1
-                    out = path + [c]
-                    hit = tuple(u for u in out if tm >> u & 1)
-                    return Witness("mountable-path", tuple(out), hits=hit)
-                ext = cands & ~tm
-            else:
-                ext = cands
-            for c in reversed(list(bits(ext))):
-                stack.append((c, banned | (1 << c) | adj[v],
-                              tc + (tm >> c & 1), depth + 1))
-    finally:
-        b.charge(local)
+    for path in _paths(g, [], tm, (1 << g.n) - 1, tm, b, tm, 3):
+        hit = tuple(u for u in path if tm >> u & 1)
+        return Witness("mountable-path", tuple(path), hits=hit)
     return None
 
 
@@ -471,7 +403,7 @@ def _stable_verdict(gf: Graft) -> Verdict:
     return Verdict(True, None, checked)
 
 
-def is_clean(gf: Graft, budget=None, threads: int = 1) -> CleanReport:
+def is_clean(gf: Graft, budget=None) -> CleanReport:
     """Certify the five clean conditions, each exhaustively (or raise
     SearchBudgetExceeded; a truncated search never reports holds).
 
@@ -488,7 +420,7 @@ def is_clean(gf: Graft, budget=None, threads: int = 1) -> CleanReport:
 
     v1 = run(find_triangle, g)
     v2 = _stable_verdict(gf)
-    v3 = run(lambda *, budget: find_wheel(g, 3, budget, threads))
+    v3 = run(find_wheel, g, 3)
     v4 = run(find_guarded_fan, gf)
     v5 = run(find_mountable_path, gf)
     return CleanReport(v1, v2, v3, v4, v5)

@@ -15,6 +15,7 @@ from burling import (
     graft_isomorphic, is_clean, find_triangle, find_hole, find_wheel,
     find_theta, find_fan, find_guarded_fan, find_mountable_path,
     oracle_scan, chromatic_number, find_non_rainbow_coloring, is_proper,
+    validate_witness,
 )
 from burling.fuzz import generate_sequence, run_sequence
 
@@ -130,22 +131,25 @@ def test_criterion_7_detector_oracle_equivalence():
     rng = random.Random(20260819)
     checked = 0
     mismatches = []
+    invalid = []
 
     for i in range(10_000):
         n = rng.randint(1, 10)
         g = make_random_graph(rng, n, p=rng.uniform(0.1, 0.5))
         sc = oracle_scan(g)
         got = {
-            "triangle": find_triangle(g) is not None,
-            "hole": next(find_hole(g), None) is not None,
-            "wheel": find_wheel(g, 3) is not None,
-            "theta": find_theta(g) is not None,
-            "fan": find_fan(g, 3) is not None,
+            "triangle": find_triangle(g),
+            "hole": next(find_hole(g), None),
+            "wheel": find_wheel(g, 3),
+            "theta": find_theta(g),
+            "fan": find_fan(g, 3),
         }
-        for kind in got:
+        for kind, w in got.items():
             checked += 1
-            if got[kind] != sc[kind]:
+            if (w is not None) != sc[kind]:
                 mismatches.append((i, kind, g.edges()))
+            if w is not None and not validate_witness(g, None, w):
+                invalid.append((i, kind, g.edges()))
 
     for i in range(2_000):
         n = rng.randint(2, 10)
@@ -154,16 +158,19 @@ def test_criterion_7_detector_oracle_equivalence():
         gf = Graft(g, tips)
         sc = oracle_scan(g, tips)
         got = {
-            "guarded-fan": find_guarded_fan(gf) is not None,
-            "mountable-path": find_mountable_path(gf) is not None,
+            "guarded-fan": find_guarded_fan(gf),
+            "mountable-path": find_mountable_path(gf),
         }
-        for kind in got:
+        for kind, w in got.items():
             checked += 1
-            if got[kind] != sc[kind]:
+            if (w is not None) != sc[kind]:
                 mismatches.append((i, kind, g.edges(), sorted(tips)))
+            if w is not None and not validate_witness(g, tips, w):
+                invalid.append((i, kind, g.edges(), sorted(tips)))
 
-    _report(7, "detector-oracle equivalence", not mismatches,
-            f"{checked} comparisons, mismatches={mismatches[:3] or 'none'}",
+    _report(7, "detector-oracle equivalence", not mismatches and not invalid,
+            f"{checked} comparisons, mismatches={mismatches[:3] or 'none'}, "
+            f"invalid witnesses={invalid[:3] or 'none'}",
             t0, 600.0)
 
 

@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from burling import validate_witness
+from burling import Graph, validate_witness
 from burling.cli import run
 from burling.io import graph_to_json, graph_from_json, witness_from_json
 
@@ -146,6 +146,21 @@ def test_fuzz_script_replay(tmp_path, capsys):
     assert run(["fuzz", "--script", str(script)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("ok steps=3")
+
+
+def test_script_side_graft_must_stay_in_script_dir(tmp_path, capsys):
+    side = graph_to_json(Graph.from_edges(2, [(0, 1)]), frozenset({1}))
+    scripts = tmp_path / "scripts"
+    scripts.mkdir()
+    (scripts / "side.graph").write_text(side)
+    (tmp_path / "outside.graph").write_text(side)
+    inside = scripts / "inside.ops"
+    inside.write_text("join 1 @side.graph\n")
+    assert run(["fuzz", "--script", str(inside)]) == 0
+    escape = scripts / "escape.ops"
+    escape.write_text("join 1 @../outside.graph\n")
+    assert run(["fuzz", "--script", str(escape)]) == 2
+    assert "outside the script's directory" in capsys.readouterr().err
 
 
 def test_export_dot(g2_file, capsys):

@@ -5,11 +5,11 @@ import json
 
 import pytest
 
-from burling import Graph, Graft, Witness, FormatError
+from burling import Graph, Graft, Witness, FormatError, build_graft
 from burling.io import (
     graph_to_json, graph_from_json, dump_graft, load_graft, graph_to_dot,
     witness_doc, witness_to_json, witness_from_json,
-    format_script, parse_script,
+    format_script, parse_script, MAX_FILE_VERTICES,
 )
 
 
@@ -38,6 +38,16 @@ def test_graft_round_trip_keeps_tips():
     assert back.tips == gf.tips
 
 
+def test_built_graft_equals_its_round_trip_and_hashes():
+    gf, _ = build_graft(3)
+    buf = stdio.StringIO()
+    dump_graft(gf, buf)
+    buf.seek(0)
+    back = load_graft(buf)
+    assert back == gf
+    assert hash(back) == hash(gf)
+
+
 def test_load_graft_requires_tips_key():
     text = graph_to_json(Graph.from_edges(2, [(0, 1)]))
     with pytest.raises(FormatError):
@@ -59,6 +69,7 @@ def test_load_graft_requires_tips_key():
     '{"n": 2, "edges": [], "tips": [9]}',
     '{"n": 2, "edges": [], "tips": 3}',
     '{"n": 2, "edges": [], "name": 7}',
+    '{"n": %d, "edges": []}' % (MAX_FILE_VERTICES + 1),
 ])
 def test_malformed_graph_docs_rejected(text):
     with pytest.raises(FormatError):
