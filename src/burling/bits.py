@@ -18,7 +18,3 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def members(mask: int) -> list[int]:
-    return list(bits(mask))

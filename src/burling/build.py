@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph, Graft
-from .ops import OpRecord, pendent, clone, join
+from .ops import OpRecord, apply_op, clone, join, pendent
 from .iso import graft_isomorphic
 from .errors import CapError, InvalidArgumentError
 
@@ -142,17 +142,14 @@ def _level_up(gk: Graft, level: int) -> tuple[Graft, LevelTrace]:
     # pendented. All joins at this level glue in the same template.
     tpl = gk
     tpl_records = []
-    tpl_kind: dict[int, tuple] = {}
-    clone_ids = {}
+    clone_of: dict[int, int] = {}
     for v in tips_sorted:
         tpl, rec = clone(tpl, v)
         tpl_records.append(rec)
-        clone_ids[v] = rec.created[0]
-        tpl_kind[rec.created[0]] = ("clone", v)
-    for v in tips_sorted:
-        tpl, rec = pendent(tpl, clone_ids[v])
+        clone_of[rec.created[0]] = v
+    for c in clone_of:
+        tpl, rec = pendent(tpl, c)
         tpl_records.append(rec)
-        tpl_kind[rec.created[0]] = ("pendant", clone_ids[v])
 
     # Host: clone each tip 2t-1 times; X_u is the tip plus its clones.
     host = gk
@@ -172,21 +169,15 @@ def _level_up(gk: Graft, level: int) -> tuple[Graft, LevelTrace]:
     for u in tips_sorted:
         host, rec = join(host, xsets[u], tpl)
         join_records.append(rec)
-        relabel = dict(rec.identified)
-        fresh = iter(rec.created)
-        for w in range(tpl.n):
-            if w not in relabel:
-                relabel[w] = next(fresh)
         for w in range(tpl.n):
             if w in rec.identified:
                 continue
-            kind = tpl_kind.get(w)
-            if kind is None:
-                provenance.append(("copy", u, w))
+            if w in clone_of:
+                # pendants are tips and were skipped above; the original
+                # of a template clone is a tip, glued onto a host vertex
+                provenance.append(("clone-of", rec.identified[clone_of[w]]))
             else:
-                # pendants are tips and were identified above, so the
-                # only tagged survivors are clones
-                provenance.append(("clone-of", relabel[kind[1]]))
+                provenance.append(("copy", u, w))
 
     trace = LevelTrace(level, tuple(tpl_records), tuple(host_records),
                        tuple(join_records), tuple(provenance))
@@ -211,13 +202,10 @@ def replay_trace(trace: ConstructionTrace) -> Graft:
     for lv in trace.levels:
         tpl = gf
         for rec in lv.template_records:
-            if rec.op == "clone":
-                tpl, _ = clone(tpl, rec.target)
-            else:
-                tpl, _ = pendent(tpl, rec.target)
+            tpl, _ = apply_op(tpl, (rec.op, rec.target))
         host = gf
         for rec in lv.host_records:
-            host, _ = clone(host, rec.target)
+            host, _ = apply_op(host, (rec.op, rec.target))
         for rec in lv.join_records:
             host, _ = join(host, rec.x, tpl, pairing=rec.identified)
         gf = host

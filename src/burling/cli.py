@@ -13,17 +13,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from .build import (EQUIV_CAP, GRAFT_CAP, PAIR_CAP, burling_pair,
-                    build_graft, check_equivalence)
+from .build import EQUIV_CAP, burling_pair, build_graft, check_equivalence
 from .coloring import bounds_only, chromatic_number, find_non_rainbow_coloring
-from .errors import BurlingError, CapError, FormatError, SearchBudgetExceeded
-from .fuzz import FuzzSequence, dump_failure, generate_sequence, run_sequence
+from .errors import BurlingError, CapError, SearchBudgetExceeded
+from .fuzz import dump_failure, generate_sequence, load_sequence, run_sequence
 from .graph import Graft
-from .io import (graph_from_json, graph_to_dot, graph_to_json, load_graft,
-                 parse_script, witness_doc)
+from .io import (graph_from_json, graph_to_dot, graph_to_json, trace_to_json,
+                 witness_doc)
 from .patterns import is_clean
 
 __all__ = ["run", "main"]
@@ -51,46 +49,18 @@ def _compact(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def _record_doc(rec) -> dict:
-    doc: dict = {"op": rec.op, "created": list(rec.created)}
-    if rec.target is not None:
-        doc["target"] = rec.target
-    if rec.x:
-        doc["x"] = list(rec.x)
-    if rec.identified is not None:
-        doc["identified"] = {str(s): h for s, h in sorted(rec.identified.items())}
-    return doc
-
-
-def _trace_json(trace) -> str:
-    doc = {
-        "k": trace.k,
-        "levels": [
-            {
-                "level": lv.level,
-                "template": [_record_doc(r) for r in lv.template_records],
-                "host": [_record_doc(r) for r in lv.host_records],
-                "joins": [_record_doc(r) for r in lv.join_records],
-                "provenance": [list(tag) for tag in lv.provenance],
-            }
-            for lv in trace.levels
-        ],
-    }
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
-
-
 def _cmd_generate(a) -> int:
     if a.mode == "pair":
         if a.trace:
             print("error: --trace applies only to graft mode", file=sys.stderr)
             return EXIT_USAGE
-        pair = burling_pair(a.k, cap=PAIR_CAP if a.cap is None else a.cap)
+        pair = burling_pair(a.k)
         text = graph_to_json(pair.graph, None, name=f"pair-{a.k}")
     else:
-        gf, trace = build_graft(a.k, cap=GRAFT_CAP if a.cap is None else a.cap)
+        gf, trace = build_graft(a.k)
         text = graph_to_json(gf.graph, gf.tips, name=f"graft-{a.k}")
         if a.trace:
-            _write_out(a.trace, _trace_json(trace))
+            _write_out(a.trace, trace_to_json(trace))
     _write_out(a.out, text)
     return EXIT_OK
 
@@ -142,31 +112,9 @@ def _cmd_equiv(a) -> int:
     return EXIT_OK
 
 
-def _load_script(path: str, seed: int) -> FuzzSequence:
-    with open(path) as fh:
-        descs = parse_script(fh.read())
-    base = os.path.realpath(os.path.dirname(os.path.abspath(path)))
-    sides: dict[str, object] = {}
-    ops = []
-    for d in descs:
-        if d[0] == "join":
-            name = d[2]
-            if name not in sides:
-                side = os.path.realpath(os.path.join(base, name))
-                if os.path.commonpath([base, side]) != base:
-                    raise FormatError(f"side graft @{name} lies outside "
-                                      "the script's directory")
-                with open(side) as fh:
-                    sides[name] = load_graft(fh)
-            ops.append(("join", tuple(d[1]), name))
-        else:
-            ops.append(d)
-    return FuzzSequence(seed=seed, ops=tuple(ops), sides=sides)
-
-
 def _cmd_fuzz(a) -> int:
     if a.script:
-        seq = _load_script(a.script, a.seed)
+        seq = load_sequence(a.script, a.seed)
     else:
         seq = generate_sequence(a.seed, a.ops, a.max_vertices)
     res = run_sequence(seq, budget=a.budget)
@@ -207,7 +155,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--out", required=True, help="output file, - for stdout")
     p.add_argument("--trace", help="also write the construction trace (graft)")
-    p.add_argument("--cap", type=int, help="raise the level cap explicitly")
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("verify", help="certify the five clean conditions")

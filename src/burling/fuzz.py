@@ -2,27 +2,28 @@
 
 Starting from the one-tip K2 seed, a seeded RNG picks legal pendent,
 clone, and join steps (join sides are grown to the right tip arity from
-their own K2 seeds). Every run is reproducible from its seed, and any
-failing sequence can be dumped as a script plus side-graft files that
-the CLI replays verbatim.
+their own K2 seeds), each applied through `ops.apply_op`. Every run is
+reproducible from its seed, and any failing sequence can be dumped as a
+script plus side-graft files that `load_sequence` reads back verbatim.
 """
 
 from __future__ import annotations
 
 import os
 import random
+from itertools import accumulate
 from dataclasses import dataclass, field
 
 from .build import _seed_graft
 from .graph import Graft
-from .io import dump_graft, format_script
-from .ops import clone, join, pendent
+from .io import dump_graft, format_script, load_graft, parse_script
+from .ops import apply_op, clone, pendent
 from .patterns import CleanReport, is_clean
-from .errors import InvalidArgumentError
+from .errors import FormatError, InvalidArgumentError
 
 __all__ = [
     "FuzzSequence", "FuzzResult", "generate_sequence", "run_sequence",
-    "dump_failure", "DEFAULT_MAX_VERTICES",
+    "dump_failure", "load_sequence", "DEFAULT_MAX_VERTICES",
 ]
 
 DEFAULT_MAX_VERTICES = 40
@@ -41,13 +42,7 @@ class FuzzSequence:
     sides: dict = field(default_factory=dict)
 
     def script(self) -> str:
-        lines = []
-        for op in self.ops:
-            if op[0] == "join":
-                lines.append((op[0], list(op[1]), op[2]))
-            else:
-                lines.append((op[0], op[1]))
-        return format_script(lines)
+        return format_script(self.ops)
 
 
 @dataclass
@@ -100,45 +95,32 @@ def generate_sequence(seed: int, length: int = 8,
             picked = _pick_join(rng, gf, max_vertices - gf.n)
             if picked is None:
                 kind = "clone"
-            else:
-                xs, side = picked
-                name = f"side{len(sides)}.graph"
-                sides[name] = side
-                ops.append(("join", xs, name))
-                gf, _ = join(gf, list(xs), side)
-                continue
-        if gf.n + 1 > max_vertices:
+        if kind == "join":
+            xs, side = picked
+            name = f"side{len(sides)}.graph"
+            sides[name] = side
+            ops.append(("join", xs, name))
+        elif gf.n + 1 > max_vertices:
             break
-        t = rng.choice(sorted(gf.tips))
-        ops.append((kind, t))
-        gf, _ = pendent(gf, t) if kind == "pendent" else clone(gf, t)
+        else:
+            ops.append((kind, rng.choice(sorted(gf.tips))))
+        gf, _ = apply_op(gf, ops[-1], sides)
     return FuzzSequence(seed=seed, ops=tuple(ops), sides=sides)
 
 
 def run_sequence(seq: FuzzSequence, budget=None,
                  check_each: bool = True) -> FuzzResult:
-    """Apply the ops, certifying cleanness after each step."""
-    gf = _seed_graft()
+    """Apply the ops, certifying cleanness after each step, or with
+    check_each off only the final graft (the seed, step -1, if no ops)."""
+    last = len(seq.ops) - 1
+    states = accumulate(seq.ops, lambda gf, op: apply_op(gf, op, seq.sides)[0],
+                        initial=_seed_graft())
     reports: list[CleanReport] = []
-    for i, op in enumerate(seq.ops):
-        if op[0] == "pendent":
-            gf, _ = pendent(gf, op[1])
-        elif op[0] == "clone":
-            gf, _ = clone(gf, op[1])
-        elif op[0] == "join":
-            gf, _ = join(gf, list(op[1]), seq.sides[op[2]])
-        else:
-            raise InvalidArgumentError(f"unknown op {op[0]!r}")
-        if check_each:
-            rep = is_clean(gf, budget=budget)
-            reports.append(rep)
-            if not rep.all_hold:
+    for i, gf in enumerate(states, -1):
+        if (i >= 0) if check_each else (i == last):
+            reports.append(is_clean(gf, budget=budget))
+            if not reports[-1].all_hold:
                 return FuzzResult(gf, reports, failed_at=i)
-    if not check_each:
-        rep = is_clean(gf, budget=budget)
-        reports.append(rep)
-        if not rep.all_hold:
-            return FuzzResult(gf, reports, failed_at=len(seq.ops) - 1)
     return FuzzResult(gf, reports)
 
 
@@ -152,3 +134,23 @@ def dump_failure(seq: FuzzSequence, dirpath: str) -> str:
     with open(path, "w") as fh:
         fh.write(seq.script())
     return path
+
+
+def load_sequence(path: str, seed: int = 0) -> FuzzSequence:
+    """Read a script written by dump_failure, with its side grafts.
+
+    A @side path must resolve inside the script's directory.
+    """
+    with open(path) as fh:
+        ops = tuple(parse_script(fh.read()))
+    base = os.path.realpath(os.path.dirname(os.path.abspath(path)))
+    sides: dict[str, Graft] = {}
+    for op in ops:
+        if op[0] == "join" and op[2] not in sides:
+            side = os.path.realpath(os.path.join(base, op[2]))
+            if os.path.commonpath([base, side]) != base:
+                raise FormatError(f"side graft @{op[2]} lies outside "
+                                  "the script's directory")
+            with open(side) as fh:
+                sides[op[2]] = load_graft(fh)
+    return FuzzSequence(seed=seed, ops=ops, sides=sides)

@@ -1,4 +1,5 @@
-"""Serialization: graph/graft JSON, DOT export, witness JSON, op scripts.
+"""Serialization: graph/graft JSON, DOT export, witness JSON, op scripts,
+construction traces. Every file format of the package lives here.
 
 The JSON graph format is deliberately tiny::
 
@@ -23,7 +24,7 @@ __all__ = [
     "graph_to_json", "graph_from_json",
     "dump_graph", "load_graph", "dump_graft", "load_graft",
     "graph_to_dot", "witness_doc", "witness_to_json", "witness_from_json",
-    "format_script", "parse_script", "MAX_FILE_VERTICES",
+    "format_script", "parse_script", "trace_to_json", "MAX_FILE_VERTICES",
 ]
 
 _GRAPH_KEYS = {"n", "edges", "tips", "name"}
@@ -190,10 +191,8 @@ def format_script(ops: list) -> str:
     """
     lines = []
     for desc in ops:
-        if desc[0] == "pendent":
-            lines.append(f"pendent {desc[1]}")
-        elif desc[0] == "clone":
-            lines.append(f"clone {desc[1]}")
+        if desc[0] == "pendent" or desc[0] == "clone":
+            lines.append(f"{desc[0]} {desc[1]}")
         elif desc[0] == "join":
             xs = " ".join(str(x) for x in desc[1])
             lines.append(f"join {xs} @{desc[2]}")
@@ -240,3 +239,33 @@ def parse_script(text: str) -> list:
         else:
             raise FormatError(f"line {lineno}: unknown op {verb!r}")
     return ops
+
+
+def _record_doc(rec) -> dict:
+    doc: dict = {"op": rec.op, "created": list(rec.created)}
+    if rec.target is not None:
+        doc["target"] = rec.target
+    if rec.x:
+        doc["x"] = list(rec.x)
+    if rec.identified is not None:
+        doc["identified"] = {str(s): h for s, h in sorted(rec.identified.items())}
+    return doc
+
+
+def trace_to_json(trace) -> str:
+    """JSON text of a ConstructionTrace: per level, the template, host and
+    join records plus the provenance tags."""
+    doc = {
+        "k": trace.k,
+        "levels": [
+            {
+                "level": lv.level,
+                "template": [_record_doc(r) for r in lv.template_records],
+                "host": [_record_doc(r) for r in lv.host_records],
+                "joins": [_record_doc(r) for r in lv.join_records],
+                "provenance": [list(tag) for tag in lv.provenance],
+            }
+            for lv in trace.levels
+        ],
+    }
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"

@@ -4,6 +4,9 @@ All three return a fresh graft plus an OpRecord naming the vertices the
 operation created (and, for join, the identification map actually used).
 Preconditions are hard errors; they are exactly the hypotheses under
 which the operations preserve cleanness.
+
+An op descriptor is ("pendent", t), ("clone", t) or ("join", xs, name);
+`apply_op` is the one op path that turns a descriptor into a call.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from .errors import (
     TipViolationError, ArityError, HomogeneityError, InvalidArgumentError,
 )
 
-__all__ = ["OpRecord", "pendent", "clone", "join"]
+__all__ = ["OpRecord", "pendent", "clone", "join", "apply_op"]
 
 
 @dataclass(frozen=True)
@@ -114,3 +117,14 @@ def join(g1: Graft, x, g2: Graft, *,
     created = tuple(relabel[v] for v in range(g2.n) if v not in identified)
     rec = OpRecord("join", created, identified=identified, x=tuple(xs))
     return Graft(out, g1.tips), rec
+
+
+def apply_op(gf: Graft, op: tuple, sides=None) -> tuple[Graft, OpRecord]:
+    """Apply one op descriptor to gf; a join's name is looked up in sides."""
+    if op[0] == "pendent":
+        return pendent(gf, op[1])
+    if op[0] == "clone":
+        return clone(gf, op[1])
+    if op[0] == "join":
+        return join(gf, op[1], sides[op[2]])
+    raise InvalidArgumentError(f"unknown op {op[0]!r}")

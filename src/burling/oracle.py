@@ -88,10 +88,6 @@ def _path_order(adj, mask):
     return tuple(order)
 
 
-def _is_path(adj, mask) -> bool:
-    return _path_order(adj, mask) is not None
-
-
 def _theta_parts(adj, mask, vs, degs):
     """Branch vertices plus the three path sequences, or None."""
     branch = [v for v, d in zip(vs, degs) if d == 3]

@@ -290,17 +290,23 @@ def find_theta(g: Graph, budget=None):
 
 # -- fans, guarded fans, mountable paths -------------------------------------
 
-def _fan(g: Graph, kind: str, pivot: int, k: int, ends: int,
-         budget: SearchBudget):
-    """An induced path avoiding pivot, both ends in ends, with >= k pivot
-    neighbors on it, as a witness of the given kind; or None.
+def _fan(g: Graph, kind: str, k: int, ends: int, budget: SearchBudget):
+    """The first witness of the given kind over pivots in increasing
+    order: an induced path avoiding the pivot, both ends in ends, with
+    >= k pivot neighbors on it; or None.
     """
-    nf = g.adj[pivot]
-    interior = ((1 << g.n) - 1) & ~(1 << pivot)
-    ends &= interior
-    for path in _paths(g, [], ends, interior, ends, budget, nf, k):
-        hit = tuple(v for v in path if nf >> v & 1)
-        return Witness(kind, tuple(path), center=pivot, k=len(hit), hits=hit)
+    full = (1 << g.n) - 1
+    for pivot in range(g.n):
+        nf = g.adj[pivot]
+        if nf.bit_count() < k:
+            continue
+        interior = full & ~(1 << pivot)
+        path_ends = ends & interior
+        for path in _paths(g, [], path_ends, interior, path_ends, budget,
+                           nf, k):
+            hit = tuple(v for v in path if nf >> v & 1)
+            return Witness(kind, tuple(path), center=pivot, k=len(hit),
+                           hits=hit)
     return None
 
 
@@ -308,27 +314,13 @@ def find_fan(g: Graph, k: int = 3, budget=None):
     """An induced path plus a pivot with >= k neighbors on it, or None."""
     if k < 3:
         raise InvalidArgumentError("fans need k >= 3")
-    b = _budget_for(g, budget)
-    full = (1 << g.n) - 1
-    for f in range(g.n):
-        if g.adj[f].bit_count() >= k:
-            w = _fan(g, "fan", f, k, full, b)
-            if w is not None:
-                return w
-    return None
+    return _fan(g, "fan", k, (1 << g.n) - 1, _budget_for(g, budget))
 
 
 def find_guarded_fan(gf: Graft, budget=None):
     """A fan whose path runs tip-to-tip, or None."""
-    g = gf.graph
-    b = _budget_for(g, budget)
-    tm = gf.tip_mask
-    for f in range(g.n):
-        if g.adj[f].bit_count() >= 3:
-            w = _fan(g, "guarded-fan", f, 3, tm, b)
-            if w is not None:
-                return w
-    return None
+    return _fan(gf.graph, "guarded-fan", 3, gf.tip_mask,
+                _budget_for(gf.graph, budget))
 
 
 def find_mountable_path(gf: Graft, budget=None):

@@ -9,9 +9,10 @@ import os
 
 import pytest
 
-from burling import Graph, validate_witness
+from burling import Graph, build_graft, validate_witness
 from burling.cli import run
-from burling.io import graph_to_json, graph_from_json, witness_from_json
+from burling.io import (graph_to_json, graph_from_json, trace_to_json,
+                        witness_from_json)
 
 
 @pytest.fixture
@@ -74,6 +75,7 @@ def test_generate_trace_replayable_json(tmp_path):
     tr = tmp_path / "g3.trace"
     assert run(["generate", "--mode", "graft", "--k", "3",
                 "--out", str(out), "--trace", str(tr)]) == 0
+    assert tr.read_text() == trace_to_json(build_graft(3)[1])
     doc = json.loads(tr.read_text())
     assert doc["k"] == 3
     assert [lv["level"] for lv in doc["levels"]] == [1, 2]
@@ -177,6 +179,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert run(["generate", "--mode", "pair", "--k", "2",
                 "--out", str(tmp_path / "x"), "--trace",
                 str(tmp_path / "t")]) == 2
+    assert run(["generate", "--mode", "graft", "--k", "3",
+                "--out", str(tmp_path / "y"), "--cap", "6"]) == 2
+    assert not (tmp_path / "y").exists()
     bad = tmp_path / "bad.graph"
     bad.write_text("{broken")
     assert run(["verify", "--in", str(bad)]) == 2
@@ -187,6 +192,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
 def test_cap_errors_exit_3(tmp_path, capsys):
     assert run(["generate", "--mode", "graft", "--k", "9",
                 "--out", str(tmp_path / "x")]) == 3
+    assert run(["generate", "--mode", "pair", "--k", "6",
+                "--out", str(tmp_path / "x")]) == 3
+    assert not (tmp_path / "x").exists()
     capsys.readouterr()
 
 

@@ -1,11 +1,13 @@
 """Fuzzer: determinism, legality, closure, and failure replay plumbing."""
 
-from burling import Graph, Graft, is_clean
+import pytest
+
+import burling.fuzz
+from burling import Graph, Graft, InvalidArgumentError, is_clean
 from burling.fuzz import (
-    generate_sequence, run_sequence, dump_failure, FuzzSequence,
-    DEFAULT_MAX_VERTICES,
+    generate_sequence, run_sequence, dump_failure, load_sequence,
+    FuzzSequence, DEFAULT_MAX_VERTICES,
 )
-from burling.io import parse_script, load_graft
 
 
 def test_same_seed_same_sequence():
@@ -55,16 +57,8 @@ def test_script_round_trip_replays(tmp_path):
             break
     assert any(op[0] == "join" for op in seq.ops)
     path = dump_failure(seq, str(tmp_path))
-    ops = parse_script(open(path).read())
-    assert len(ops) == len(seq.ops)
-    sides = {}
-    for op in ops:
-        if op[0] == "join":
-            with open(tmp_path / op[2]) as fh:
-                sides[op[2]] = load_graft(fh)
-    replayed = FuzzSequence(seed=seq.seed, ops=tuple(
-        ("join", tuple(op[1]), op[2]) if op[0] == "join" else op
-        for op in ops), sides=sides)
+    replayed = load_sequence(path, seq.seed)
+    assert len(replayed.ops) == len(seq.ops)
     a = run_sequence(seq, check_each=False)
     b = run_sequence(replayed, check_each=False)
     assert a.final.graph == b.final.graph
@@ -83,6 +77,36 @@ def test_hand_built_sequences_run():
     assert res.ok
     assert res.final.n == 4
     assert len(next(iter(res.reports)).items()) == 5
+
+
+def test_is_clean_called_once_per_step(monkeypatch):
+    # run_sequence must certify through the module global
+    # burling.fuzz.is_clean: perfbench wraps that name to time each step
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return is_clean(*args, **kwargs)
+
+    monkeypatch.setattr(burling.fuzz, "is_clean", counting)
+    seq = generate_sequence(3, 8)
+    run_sequence(seq)
+    assert len(calls) == len(seq.ops)
+    calls.clear()
+    run_sequence(seq, check_each=False)
+    assert len(calls) == 1
+
+
+def test_empty_sequence_reports():
+    seq = FuzzSequence(seed=0, ops=())
+    assert run_sequence(seq).reports == []
+    res = run_sequence(seq, check_each=False)
+    assert len(res.reports) == 1 and res.ok and res.final.n == 2
+
+
+def test_unknown_op_rejected():
+    with pytest.raises(InvalidArgumentError):
+        run_sequence(FuzzSequence(seed=0, ops=(("graft", 1),)))
 
 
 def test_per_step_reports_would_catch_a_bad_state():
