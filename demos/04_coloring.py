@@ -1,10 +1,11 @@
 """Chromatic certificates for the built graphs.
 
-Two independent routes to the same conclusion on the level-3 graft:
-the exact branch-and-bound returns chi = 4 with a proper 4-coloring,
-and the rainbow search reports that no proper 3-coloring keeps every
-tip's neighborhood under 3 colors, which forces chi >= 4 (a tip over
-k neighbor colors plus its own color needs k+1).
+Two questions reach the same conclusion on the level-3 graft, and one
+coloring search answers both: counting colors up, it finds chi = 4 with
+a proper 4-coloring, and with a cut on the tips it reports that no
+proper 3-coloring keeps every tip's neighborhood under 3 colors, which
+forces chi >= 4 (a tip over k neighbor colors plus its own color needs
+k+1).
 """
 
 from burling import (

@@ -1,10 +1,11 @@
 """Exact chromatic number with certificates, greedy bounds, and the
 rainbow-tip search that powers the chromatic lower bound.
 
-The exact solver is DSATUR-ordered branch and bound with color-symmetry
-breaking (a fresh color may only be the next unused id). The rainbow
-search enumerates proper colorings under the same symmetry breaking and
-prunes as soon as any tip's neighborhood already shows k colors.
+One backtracking search, `_search`, answers both exact questions: is
+there a proper c-coloring (the chromatic number counts c up from a lower
+bound), and is there one that keeps every tip's neighborhood under k
+colors (the rainbow bound). Greedy DSATUR gives the cheap upper bound
+for graphs too big to search.
 """
 
 from __future__ import annotations
@@ -103,56 +104,76 @@ def _dsatur_greedy(g: Graph) -> list[int]:
     return colors
 
 
-def chromatic_number(g: Graph, cap: int = CHROMA_CAP) -> ChromaticCertificate:
-    """Exact chi with a witness coloring, by branch and bound."""
-    if g.n > cap:
-        raise CapError(f"exact solver capped at {cap} vertices, got {g.n}")
+def _search(g: Graph, c: int, tips=(), k: int = 0) -> list[int] | None:
+    """First proper coloring with colors 0..c-1 under which every tip's
+    neighborhood shows fewer than k colors (k = 0: no tip condition),
+    or None if there is none.
+
+    DSATUR order (Brelaz, CACM 1979): the next vertex has the most
+    distinct neighbor colors, then the highest degree, then the lowest
+    id. It tries colors in increasing order, a fresh one only if it is
+    the next unused id, so every color 0..count-1 gets used.
+
+    Soundness: rename any valid coloring F in order of first use along
+    the search. Each picked vertex is offered its renamed F-color (an
+    old one, or the next unused id, below c as F has at most c classes),
+    and neither cut fires on it: both cuts (a neighbor holds the color; a
+    tip reaches k neighbor colors) only grow down a branch, and F has
+    neither. So that branch reaches a leaf; None means none exists.
+    """
     n = g.n
-    if n == 0:
-        return ChromaticCertificate(0, Coloring(()), "exhaustive-search")
-    greedy = _dsatur_greedy(g)
-    best = [max(greedy) + 1, list(greedy)]
-    lower = max(len(_greedy_clique(g)), 1 if n else 0)
-    if not _is_bipartite(g):
-        lower = max(lower, 3)
-
-    colors = [-1] * n
-    seen = [0] * n
     adj = g.adj
+    colors = [-1] * n
+    seen = [0] * n  # bitmask of colors on each vertex's neighbors
+    watchers: list[list[int]] = [[] for _ in range(n)]  # tips seeing v
+    if k:
+        for i, t in enumerate(tips):
+            for v in bits(adj[t]):
+                watchers[v].append(i)
+    tip_seen = [0] * len(tips)
 
-    def down(used: int) -> bool:
-        """Extend the partial coloring; True aborts the whole search."""
-        if used >= best[0]:
-            return False
-        uncolored = [u for u in range(n) if colors[u] < 0]
-        if not uncolored:
-            best[0] = used
-            best[1] = list(colors)
-            return best[0] <= lower
-        v = max(uncolored,
+    def down(left: int, used: int) -> bool:
+        if not left:
+            return True
+        v = max((u for u in range(n) if colors[u] < 0),
                 key=lambda u: (seen[u].bit_count(), adj[u].bit_count(), -u))
-        # colors 0..used-1 plus one fresh color, fresh only if it can win
-        limit = used + 1 if used + 1 < best[0] else used
-        for c in range(limit):
-            if seen[v] >> c & 1:
+        for col in range(min(used + 1, c)):
+            bit = 1 << col
+            if seen[v] & bit:
                 continue
-            colors[v] = c
-            touched = []
-            for u in bits(adj[v]):
-                if not seen[u] >> c & 1:
-                    seen[u] |= 1 << c
-                    touched.append(u)
-            if down(max(used, c + 1)):
+            gain = [i for i in watchers[v] if not tip_seen[i] & bit]
+            if any(tip_seen[i].bit_count() + 1 >= k for i in gain):
+                continue
+            touched = [u for u in bits(adj[v]) if not seen[u] & bit]
+            colors[v] = col
+            for u in touched:
+                seen[u] |= bit
+            for i in gain:
+                tip_seen[i] |= bit
+            if down(left - 1, max(used, col + 1)):
                 return True
             colors[v] = -1
             for u in touched:
-                seen[u] ^= 1 << c
+                seen[u] ^= bit
+            for i in gain:
+                tip_seen[i] ^= bit
         return False
 
-    down(0)
-    chi = best[0]
-    return ChromaticCertificate(chi, Coloring(tuple(best[1])),
-                                "exhaustive-search")
+    return colors if down(n, 0) else None
+
+
+def chromatic_number(g: Graph, cap: int = CHROMA_CAP) -> ChromaticCertificate:
+    """Exact chi with a witness coloring: the first c from a lower bound
+    up that admits a proper c-coloring. That coloring uses exactly c
+    colors, since c-1 failed or is below the bound."""
+    if g.n > cap:
+        raise CapError(f"exact solver capped at {cap} vertices, got {g.n}")
+    c = len(_greedy_clique(g))
+    if c < 3 and not _is_bipartite(g):
+        c = 3
+    while (colors := _search(g, c)) is None:
+        c += 1
+    return ChromaticCertificate(c, Coloring(colors), "exhaustive-search")
 
 
 def bounds_only(g: Graph) -> tuple[int, int]:
@@ -182,56 +203,5 @@ def find_non_rainbow_coloring(gf: Graft, k: int, c: int,
         raise InvalidArgumentError("k must be positive")
     if c < 1:
         raise InvalidArgumentError("c must be positive")
-    n = g.n
-    tips = sorted(gf.tips)
-    adj = g.adj
-    # watchers[v] = indices of tips whose neighborhood contains v
-    watchers: list[list[int]] = [[] for _ in range(n)]
-    for i, t in enumerate(tips):
-        for v in bits(adj[t]):
-            watchers[v].append(i)
-    order = sorted(range(n),
-                   key=lambda v: (-len(watchers[v]), -adj[v].bit_count(), v))
-    colors = [-1] * n
-    tip_seen = [0] * len(tips)
-
-    def down(pos: int, used: int):
-        if pos == n:
-            return list(colors)
-        v = order[pos]
-        nseen = 0
-        for u in bits(adj[v]):
-            if colors[u] >= 0:
-                nseen |= 1 << colors[u]
-        for col in range(min(used + 1, c)):
-            if nseen >> col & 1:
-                continue
-            bad = False
-            touched = []
-            for i in watchers[v]:
-                if not tip_seen[i] >> col & 1:
-                    tip_seen[i] |= 1 << col
-                    touched.append(i)
-                    if tip_seen[i].bit_count() >= k:
-                        bad = True
-            if not bad:
-                colors[v] = col
-                got = down(pos + 1, max(used, col + 1))
-                if got is not None:
-                    return got
-                colors[v] = -1
-            for i in touched:
-                tip_seen[i] ^= 1 << col
-        return None
-
-    got = down(0, 0)
-    if got is None:
-        return None
-    # normalize ids to first-use order over vertex ids
-    remap: dict[int, int] = {}
-    out = []
-    for col in got:
-        if col not in remap:
-            remap[col] = len(remap)
-        out.append(remap[col])
-    return Coloring(tuple(out))
+    got = _search(g, c, sorted(gf.tips), k)
+    return None if got is None else Coloring(got)

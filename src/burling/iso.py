@@ -22,15 +22,10 @@ def _refine(g1: Graph, g2: Graph, c1: list[int], c2: list[int]):
     ncolors = len(set(c1) | set(c2))
     while True:
         intern: dict = {}
-        d1 = [0] * g1.n
-        d2 = [0] * g2.n
-        for v in range(g1.n):
-            key = (c1[v], tuple(sorted(c1[u] for u in bits(g1.adj[v]))))
-            d1[v] = intern.setdefault(key, len(intern))
-        for v in range(g2.n):
-            key = (c2[v], tuple(sorted(c2[u] for u in bits(g2.adj[v]))))
-            d2[v] = intern.setdefault(key, len(intern))
-        c1, c2 = d1, d2
+        c1, c2 = [[intern.setdefault(
+                      (c[v], tuple(sorted(c[u] for u in bits(g.adj[v])))),
+                      len(intern)) for v in range(g.n)]
+                  for g, c in ((g1, c1), (g2, c2))]
         if len(intern) == ncolors:
             return c1, c2
         ncolors = len(intern)

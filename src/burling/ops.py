@@ -126,5 +126,7 @@ def apply_op(gf: Graft, op: tuple, sides=None) -> tuple[Graft, OpRecord]:
     if op[0] == "clone":
         return clone(gf, op[1])
     if op[0] == "join":
+        if sides is None or op[2] not in sides:
+            raise InvalidArgumentError(f"join names unknown side graft {op[2]!r}")
         return join(gf, op[1], sides[op[2]])
     raise InvalidArgumentError(f"unknown op {op[0]!r}")

@@ -24,6 +24,14 @@ def brute_chi(g: Graph) -> int:
     raise AssertionError("unreachable")
 
 
+# The search must backtrack here and undo both its neighbor-color and its
+# tip-color masks before it finds chi = 3 and a non-rainbow 3-coloring
+# for k = 3; without either undo it reports 4 or None.
+BACKTRACK = Graft(Graph.from_edges(9, [
+    (0, 1), (0, 4), (0, 6), (0, 8), (1, 2), (1, 3), (2, 3), (2, 7), (3, 7),
+    (4, 6), (4, 8), (5, 6), (5, 7), (6, 7)]), frozenset({1, 2, 3}))
+
+
 def test_coloring_normalization_enforced():
     Coloring((0, 1, 0, 2))
     Coloring(())
@@ -44,8 +52,8 @@ def test_is_proper():
 
 def test_exact_matches_brute_force():
     rng = random.Random(61)
-    for _ in range(80):
-        g = make_random_graph(rng, rng.randint(0, 8))
+    graphs = [make_random_graph(rng, rng.randint(0, 8)) for _ in range(80)]
+    for g in graphs + [BACKTRACK.graph]:
         cert = chromatic_number(g)
         assert cert.chi == brute_chi(g)
         assert cert.witness.count == cert.chi
@@ -124,6 +132,37 @@ def test_rainbow_tip_bound_is_tight_per_tip():
     assert col is not None
     leaves = {col.colors[v] for v in (1, 2, 3)}
     assert len(leaves) == 1
+
+
+def brute_non_rainbow(gf: Graft, k: int, c: int) -> bool:
+    g = gf.graph
+    for assign in itertools.product(range(c), repeat=g.n):
+        if (all(assign[u] != assign[v] for u, v in g.edges())
+                and all(len({assign[u] for u in g.neighborhood(t)}) < k
+                        for t in gf.tips)):
+            return True
+    return False
+
+
+def test_rainbow_matches_brute_force():
+    rng = random.Random(71)
+    cases = [(BACKTRACK, 3, 3)]
+    for _ in range(320):
+        n = rng.randint(1, 7)
+        g = make_random_graph(rng, n)
+        tips = frozenset(rng.sample(range(n), rng.randint(0, min(4, n))))
+        cases.append((Graft(g, tips), rng.randint(1, 4), rng.randint(1, 4)))
+    found = 0
+    for gf, k, c in cases:
+        g = gf.graph
+        col = find_non_rainbow_coloring(gf, k, c)
+        assert (col is not None) == brute_non_rainbow(gf, k, c)
+        if col is not None:
+            found += 1
+            assert is_proper(g, col) and col.count <= c
+            for t in gf.tips:
+                assert len({col.colors[u] for u in g.neighborhood(t)}) < k
+    assert 0 < found < len(cases)
 
 
 def test_rainbow_cap_and_validation():

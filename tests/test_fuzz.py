@@ -107,6 +107,8 @@ def test_empty_sequence_reports():
 def test_unknown_op_rejected():
     with pytest.raises(InvalidArgumentError):
         run_sequence(FuzzSequence(seed=0, ops=(("graft", 1),)))
+    with pytest.raises(InvalidArgumentError, match="x.graph"):
+        run_sequence(FuzzSequence(0, (("join", (1,), "x.graph"),)))
 
 
 def test_per_step_reports_would_catch_a_bad_state():
