@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import Graph, Graft
-from .ops import OpRecord, apply_op, clone, join, pendent
+from .ops import OpRecord, apply_op, join
 from .iso import graft_isomorphic
 from .errors import CapError, InvalidArgumentError
 
@@ -133,65 +133,57 @@ def _seed_graft() -> Graft:
     return Graft(Graph.from_edges(2, [(0, 1)]), frozenset({1}))
 
 
-def _level_up(gk: Graft, level: int) -> tuple[Graft, LevelTrace]:
-    tips_sorted = sorted(gk.tips)
-    t = len(tips_sorted)
-    n = gk.n
-
-    # Template: one copy of the input, every tip cloned, every clone
-    # pendented. All joins at this level glue in the same template.
-    tpl = gk
-    tpl_records = []
-    clone_of: dict[int, int] = {}
-    for v in tips_sorted:
-        tpl, rec = clone(tpl, v)
+def _level(gk: Graft, level: int, template_ops, host_ops,
+           joins) -> tuple[Graft, LevelTrace]:
+    """One graft level: the template ops run on a copy of gk and the host
+    ops on gk, then the template is joined onto the host at each (x,
+    pairing) in turn. The trace, provenance included, is read off the
+    records; the tip u of ("copy", u, w) is the least vertex of x."""
+    tpl, host = gk, gk
+    tpl_records, host_records, join_records = [], [], []
+    for op in template_ops:
+        tpl, rec = apply_op(tpl, op)
         tpl_records.append(rec)
-        clone_of[rec.created[0]] = v
-    for c in clone_of:
-        tpl, rec = pendent(tpl, c)
-        tpl_records.append(rec)
-
-    # Host: clone each tip 2t-1 times; X_u is the tip plus its clones.
-    host = gk
-    host_records = []
-    provenance: list[tuple] = [("base", v) for v in range(n)]
-    xsets = {}
-    for u in tips_sorted:
-        xs = [u]
-        for _ in range(2 * t - 1):
-            host, rec = clone(host, u)
-            host_records.append(rec)
-            xs.append(rec.created[0])
-            provenance.append(("clone-of", u))
-        xsets[u] = xs
-
-    join_records = []
-    for u in tips_sorted:
-        host, rec = join(host, xsets[u], tpl)
+    for op in host_ops:
+        host, rec = apply_op(host, op)
+        host_records.append(rec)
+    clone_of = {rec.created[0]: rec.target
+                for rec in tpl_records if rec.op == "clone"}
+    provenance: list[tuple] = [("base", v) for v in range(gk.n)]
+    provenance += [("clone-of", rec.target) for rec in host_records]
+    embedded = [w for w in range(tpl.n) if w not in tpl.tips]
+    for x, pairing in joins:
+        host, rec = join(host, x, tpl, pairing=pairing)
         join_records.append(rec)
-        for w in range(tpl.n):
-            if w in rec.identified:
-                continue
-            if w in clone_of:
-                # pendants are tips and were skipped above; the original
-                # of a template clone is a tip, glued onto a host vertex
-                provenance.append(("clone-of", rec.identified[clone_of[w]]))
-            else:
-                provenance.append(("copy", u, w))
-
+        provenance += [("clone-of", rec.identified[clone_of[w]])
+                       if w in clone_of else ("copy", rec.x[0], w)
+                       for w in embedded]
     trace = LevelTrace(level, tuple(tpl_records), tuple(host_records),
                        tuple(join_records), tuple(provenance))
     return host, trace
 
 
 def build_graft(k: int, cap: int = GRAFT_CAP) -> tuple[Graft, ConstructionTrace]:
-    """The k-th graft, grown level by level through the three operations."""
+    """The k-th graft, grown level by level through the three operations.
+
+    Each level plans its ops from the t sorted tips: the template clones
+    every tip, then pendents every clone; the host clones each tip u 2t-1
+    times; X_u is u plus its clones, joined with the default pairing.
+    Every op appends one vertex, so each created id is known in advance.
+    """
     if k < 1 or k > cap:
         raise CapError(f"k must lie in 1..{cap}, got {k}")
     gf = _seed_graft()
     levels = []
     for level in range(1, k):
-        gf, trace = _level_up(gf, level)
+        tips = sorted(gf.tips)
+        n, step = gf.n, 2 * len(tips) - 1
+        template = ([("clone", v) for v in tips]
+                    + [("pendent", n + i) for i in range(len(tips))])
+        host = [("clone", u) for u in tips for _ in range(step)]
+        joins = [([u, *range(n + i * step, n + (i + 1) * step)], None)
+                 for i, u in enumerate(tips)]
+        gf, trace = _level(gf, level, template, host, joins)
         levels.append(trace)
     return gf, ConstructionTrace(k, tuple(levels))
 
@@ -200,15 +192,11 @@ def replay_trace(trace: ConstructionTrace) -> Graft:
     """Re-execute the recorded operations; must rebuild bit-exactly."""
     gf = _seed_graft()
     for lv in trace.levels:
-        tpl = gf
-        for rec in lv.template_records:
-            tpl, _ = apply_op(tpl, (rec.op, rec.target))
-        host = gf
-        for rec in lv.host_records:
-            host, _ = apply_op(host, (rec.op, rec.target))
-        for rec in lv.join_records:
-            host, _ = join(host, rec.x, tpl, pairing=rec.identified)
-        gf = host
+        gf, _ = _level(
+            gf, lv.level,
+            [(rec.op, rec.target) for rec in lv.template_records],
+            [(rec.op, rec.target) for rec in lv.host_records],
+            [(rec.x, rec.identified) for rec in lv.join_records])
     return gf
 
 

@@ -4,8 +4,8 @@ rainbow-tip search that powers the chromatic lower bound.
 One backtracking search, `_search`, answers both exact questions: is
 there a proper c-coloring (the chromatic number counts c up from a lower
 bound), and is there one that keeps every tip's neighborhood under k
-colors (the rainbow bound). Greedy DSATUR gives the cheap upper bound
-for graphs too big to search.
+colors (the rainbow bound). With c = n its first descent is greedy
+DSATUR, the cheap upper bound for graphs too big to search.
 """
 
 from __future__ import annotations
@@ -88,22 +88,6 @@ def _is_bipartite(g: Graph) -> bool:
     return True
 
 
-def _dsatur_greedy(g: Graph) -> list[int]:
-    n = g.n
-    colors = [-1] * n
-    seen = [0] * n  # bitmask of colors on each vertex's neighbors
-    for _ in range(n):
-        v = max((u for u in range(n) if colors[u] < 0),
-                key=lambda u: (seen[u].bit_count(), g.adj[u].bit_count(), -u))
-        c = 0
-        while seen[v] >> c & 1:
-            c += 1
-        colors[v] = c
-        for u in bits(g.adj[v]):
-            seen[u] |= 1 << c
-    return colors
-
-
 def _search(g: Graph, c: int, tips=(), k: int = 0) -> list[int] | None:
     """First proper coloring with colors 0..c-1 under which every tip's
     neighborhood shows fewer than k colors (k = 0: no tip condition),
@@ -131,13 +115,17 @@ def _search(g: Graph, c: int, tips=(), k: int = 0) -> list[int] | None:
             for v in bits(adj[t]):
                 watchers[v].append(i)
     tip_seen = [0] * len(tips)
-
-    def down(left: int, used: int) -> bool:
-        if not left:
-            return True
-        v = max((u for u in range(n) if colors[u] < 0),
-                key=lambda u: (seen[u].bit_count(), adj[u].bit_count(), -u))
-        for col in range(min(used + 1, c)):
+    # An explicit trail, not recursion, so depth is not capped by Python's
+    # recursion limit. One frame per colored vertex: (v, its color, used
+    # before it, the neighbors and tips that gained the color).
+    trail: list[tuple] = []
+    v, start, used = -1, 0, 0
+    while len(trail) < n:
+        if v < 0:
+            v = max((u for u in range(n) if colors[u] < 0),
+                    key=lambda u: (seen[u].bit_count(), adj[u].bit_count(), -u))
+            start = 0
+        for col in range(start, min(used + 1, c)):
             bit = 1 << col
             if seen[v] & bit:
                 continue
@@ -150,16 +138,22 @@ def _search(g: Graph, c: int, tips=(), k: int = 0) -> list[int] | None:
                 seen[u] |= bit
             for i in gain:
                 tip_seen[i] |= bit
-            if down(left - 1, max(used, col + 1)):
-                return True
+            trail.append((v, col, used, touched, gain))
+            used = max(used, col + 1)
+            v = -1
+            break
+        else:
+            if not trail:
+                return None
+            v, col, used, touched, gain = trail.pop()
+            bit = 1 << col
             colors[v] = -1
             for u in touched:
                 seen[u] ^= bit
             for i in gain:
                 tip_seen[i] ^= bit
-        return False
-
-    return colors if down(n, 0) else None
+            start = col + 1
+    return colors
 
 
 def chromatic_number(g: Graph, cap: int = CHROMA_CAP) -> ChromaticCertificate:
@@ -177,13 +171,20 @@ def chromatic_number(g: Graph, cap: int = CHROMA_CAP) -> ChromaticCertificate:
 
 
 def bounds_only(g: Graph) -> tuple[int, int]:
-    """Cheap (lower, upper) chromatic bounds for any size of graph."""
+    """Cheap (lower, upper) chromatic bounds for any size of graph.
+
+    The upper bound is greedy DSATUR, run as `_search` with c = n: fewer
+    than n vertices are colored before each pick, so `used < c`, and the
+    color `used` is free (neighbors only hold colors below it). A free
+    color always exists and no tip cut applies, so the first descent never
+    backtracks and gives each vertex its lowest free color.
+    """
     if g.n == 0:
         return 0, 0
     if g.edge_count() == 0:
         return 1, 1
     lower = 2 if _is_bipartite(g) else 3
-    upper = max(_dsatur_greedy(g)) + 1
+    upper = max(_search(g, g.n)) + 1
     return lower, max(lower, upper)
 
 

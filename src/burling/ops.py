@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bits import bits
 from .graph import Graph, Graft
 from .errors import (
     TipViolationError, ArityError, HomogeneityError, InvalidArgumentError,
@@ -38,32 +39,37 @@ class OpRecord:
     x: tuple[int, ...] = ()
 
 
-def pendent(g: Graft, t: int) -> tuple[Graft, OpRecord]:
-    """Attach a new leaf to tip t; the leaf replaces t as a tip."""
+def _check_tip(g: Graft, t: int) -> None:
     g.graph.check_vertex(t)
     if t not in g.tips:
         raise TipViolationError(f"vertex {t} is not a tip")
+
+
+def _add_tip(g: Graft, t: int, op: str) -> tuple[Graft, OpRecord]:
+    """The step pendent and clone share: check tip t, append vertex n
+    with neighbour mask {t} (pendent) or N(t) (clone), and set bit n in
+    the rows of that mask only. n is a new tip; a pendant replaces t."""
+    _check_tip(g, t)
     n = g.n
-    adj = list(g.graph.adj) + [1 << t]
-    adj[t] |= 1 << n
+    if op == "pendent":
+        nb, tips = 1 << t, g.tips - {t}
+    else:
+        nb, tips = g.graph.adj[t], g.tips
+    adj = list(g.graph.adj) + [nb]
+    for u in bits(nb):
+        adj[u] |= 1 << n
     out = Graph._raw(n + 1, adj)
-    tips = (g.tips - {t}) | {n}
-    return Graft(out, frozenset(tips)), OpRecord("pendent", (n,), target=t)
+    return Graft(out, tips | {n}), OpRecord(op, (n,), target=t)
+
+
+def pendent(g: Graft, t: int) -> tuple[Graft, OpRecord]:
+    """Attach a new leaf to tip t; the leaf replaces t as a tip."""
+    return _add_tip(g, t, "pendent")
 
 
 def clone(g: Graft, t: int) -> tuple[Graft, OpRecord]:
     """Add a new tip with the same neighborhood as tip t."""
-    g.graph.check_vertex(t)
-    if t not in g.tips:
-        raise TipViolationError(f"vertex {t} is not a tip")
-    n = g.n
-    nb = g.graph.adj[t]
-    adj = list(g.graph.adj) + [nb]
-    for u in range(n):
-        if nb >> u & 1:
-            adj[u] |= 1 << n
-    out = Graph._raw(n + 1, adj)
-    return Graft(out, g.tips | {n}), OpRecord("clone", (n,), target=t)
+    return _add_tip(g, t, "clone")
 
 
 def join(g1: Graft, x, g2: Graft, *,
@@ -78,9 +84,7 @@ def join(g1: Graft, x, g2: Graft, *,
     """
     xs = sorted(set(x))
     for v in xs:
-        g1.graph.check_vertex(v)
-        if v not in g1.tips:
-            raise TipViolationError(f"vertex {v} is not a tip of the host")
+        _check_tip(g1, v)
     if len(xs) != len(g2.tips):
         raise ArityError(
             f"|x| = {len(xs)} but the side graft has {len(g2.tips)} tips")
@@ -121,10 +125,8 @@ def join(g1: Graft, x, g2: Graft, *,
 
 def apply_op(gf: Graft, op: tuple, sides=None) -> tuple[Graft, OpRecord]:
     """Apply one op descriptor to gf; a join's name is looked up in sides."""
-    if op[0] == "pendent":
-        return pendent(gf, op[1])
-    if op[0] == "clone":
-        return clone(gf, op[1])
+    if op[0] in ("pendent", "clone"):
+        return _add_tip(gf, op[1], op[0])
     if op[0] == "join":
         if sides is None or op[2] not in sides:
             raise InvalidArgumentError(f"join names unknown side graft {op[2]!r}")

@@ -102,7 +102,7 @@ def test_build_is_deterministic():
 
 
 def test_replay_reproduces_bit_exactly():
-    for k in (2, 3):
+    for k in (1, 2, 3, 4):
         gf, trace = build_graft(k)
         back = replay_trace(trace)
         assert back.graph == gf.graph

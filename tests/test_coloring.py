@@ -103,6 +103,16 @@ def test_bounds_scale_to_big_inputs():
     assert hi >= 5
 
 
+def test_search_deeper_than_recursion_limit():
+    # one search level per vertex: a recursive search overflows the stack
+    path = Graph.from_edges(1200, [(v, v + 1) for v in range(1199)])
+    cert = chromatic_number(path, cap=2000)
+    assert cert.chi == 2 and is_proper(path, cert.witness)
+    got = find_non_rainbow_coloring(Graft(path, frozenset({0})), 2, 2, cap=2000)
+    assert got is not None and is_proper(path, got)
+    assert bounds_only(path) == (2, 2)
+
+
 def test_rainbow_finds_relaxed_colorings():
     gf, _ = build_graft(2)
     col = find_non_rainbow_coloring(gf, 3, 3)

@@ -1,6 +1,8 @@
-"""Every demo runs to completion and leaves no temporary files behind."""
+"""Every demo and the README's Python quickstart run to completion, and
+the demos leave no temporary files behind."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,3 +22,11 @@ def test_demo_runs_clean(demo, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert list(scratch.iterdir()) == []
+
+
+def test_readme_quickstart_runs():
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
