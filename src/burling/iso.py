@@ -42,27 +42,40 @@ def _extract(g1: Graph, g2: Graph, c1: list[int], c2: list[int]):
 
 
 def _search(g1: Graph, g2: Graph, c1: list[int], c2: list[int]):
-    c1, c2 = _refine(g1, g2, c1, c2)
-    hist = Counter(c1)
-    if hist != Counter(c2):
-        return None
-    if all(size == 1 for size in hist.values()):
-        return _extract(g1, g2, c1, c2)
-    target = min((c for c, size in hist.items() if size > 1),
-                 key=lambda c: (hist[c], c))
-    v1 = c1.index(target)
-    fresh = max(max(c1), max(c2)) + 1
-    for v2 in range(g2.n):
-        if c2[v2] != target:
-            continue
-        trial1 = list(c1)
-        trial1[v1] = fresh
-        trial2 = list(c2)
-        trial2[v2] = fresh
-        found = _search(g1, g2, trial1, trial2)
-        if found is not None:
-            return found
-    return None
+    """Refine, then individualize the first vertex of g1 in the smallest
+    non-singleton class against each vertex of g2 in that class, in
+    increasing order; the first verified map found, or None.
+
+    An explicit trail, not recursion, so depth is not capped by Python's
+    recursion limit. One frame per individualization: the refined
+    colorings it branched from, the vertex of g1 it individualized, the
+    fresh color and the candidates in g2 not yet tried.
+    """
+    trail: list[tuple] = []
+    while True:
+        c1, c2 = _refine(g1, g2, c1, c2)
+        hist = Counter(c1)
+        if hist == Counter(c2):
+            if all(size == 1 for size in hist.values()):
+                found = _extract(g1, g2, c1, c2)
+                if found is not None:
+                    return found
+            else:
+                target = min((c for c, size in hist.items() if size > 1),
+                             key=lambda c: (hist[c], c))
+                fresh = max(max(c1), max(c2)) + 1
+                cands = iter([v for v in range(g2.n) if c2[v] == target])
+                trail.append((c1, c2, c1.index(target), fresh, cands))
+        while trail:
+            b1, b2, v1, fresh, cands = trail[-1]
+            v2 = next(cands, None)
+            if v2 is not None:
+                break
+            trail.pop()
+        else:
+            return None
+        c1, c2 = list(b1), list(b2)
+        c1[v1] = c2[v2] = fresh
 
 
 def _initial(g: Graph, tips: frozenset[int], intern: dict) -> list[int]:

@@ -14,7 +14,10 @@ of its end drawn from a close mask. Cycles (triangles, holes, wheel rims)
 close on neighbours of the head vertex, theta branches on the far branch
 vertex, fans and mountable paths on an end vertex once the path carries
 enough pivot neighbours or tips. Pruning lives only in the kernel, so a
-new prune is written once and every detector gets it.
+new prune is written once and every detector gets it. Three cuts stop a
+branch that cannot finish: too few count vertices left unbanned, no
+closer left unbanned, and no closer or too few count vertices reachable
+from the children through unbanned interior vertices.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ def _paths(g: Graph, head: list[int], roots: int, interior: int, close: int,
     searched in increasing order, closers yielded in increasing order,
     and children popped in increasing order.
 
-    Two cuts, both applied at each node v before its children are
+    Three cuts, all applied at each node v before its children are
     pushed. They rest on the banned mask: a vertex joins or closes the
     path only if it is outside banned, and banned only grows down a
     branch. It starts as every vertex outside interior and close plus
@@ -112,6 +115,19 @@ def _paths(g: Graph, head: list[int], roots: int, interior: int, close: int,
       so every closer below v lies outside banned | N(v). If close has
       no vertex there, no path below v can finish; v's own closers are
       yielded and its children are not pushed.
+    - reach: with banned now holding N(v), a bitset BFS starts from the
+      children m and grows layer by layer through unbanned interior
+      vertices; seen is m plus every unbanned vertex it reaches. Every
+      vertex below v is a child of v, or an unbanned non-neighbour of v
+      joined to a child through interior vertices: each later path
+      vertex is an interior neighbour of the one before it, a closer is
+      a neighbour of the path's end, and both lie outside a banned mask
+      that contains this one. So every later closer and every later hit
+      lies in seen. If seen holds no unbanned vertex of close, or hits
+      plus the vertices of count in seen fall short of need, no path
+      below v can finish and the children are not pushed. Both tests
+      only turn true as seen grows, so the BFS stops after the first
+      layer at which both hold.
     """
     adj = g.adj
     path = list(head)
@@ -150,6 +166,21 @@ def _paths(g: Graph, head: list[int], roots: int, interior: int, close: int,
             if not m or not close & ~(banned | adj[v]):
                 continue
             banned |= adj[v]
+            seen = front = m
+            while front:
+                grow = 0
+                while front:
+                    u = front & -front
+                    front ^= u
+                    grow |= adj[u.bit_length() - 1]
+                front = grow & ~(banned | seen)
+                seen |= front
+                if (close & seen & ~banned
+                        and hits + (count & seen).bit_count() >= need):
+                    break
+                front &= interior
+            else:
+                continue
             while m:
                 c = m.bit_length() - 1
                 m ^= 1 << c

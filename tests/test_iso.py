@@ -1,7 +1,9 @@
 """Isomorphism checker against a brute-force permutation oracle."""
 
+import inspect
 import itertools
 import random
+import sys
 
 from burling import Graph, Graft, graph_isomorphic, graft_isomorphic
 
@@ -119,3 +121,17 @@ def test_graft_oracle_agreement_with_tips():
         assert (got is not None) == want
         if got is not None:
             check_certificate(a, b, got, at, bt)
+
+
+def test_search_deeper_than_recursion_limit():
+    # one individualization per edge: a recursive search nests about 120
+    # calls deep, past the 60 frames the lowered limit leaves it
+    g = Graph.from_edges(240, [(2 * i, 2 * i + 1) for i in range(120)])
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        perm = graph_isomorphic(g, g)
+    finally:
+        sys.setrecursionlimit(old)
+    assert perm is not None
+    check_certificate(g, g, perm)

@@ -18,6 +18,7 @@ from burling import (
     SearchBudgetExceeded, BudgetRequiredError, InvalidArgumentError,
 )
 from burling.bits import bits
+from burling.patterns import _paths
 
 from conftest import make_random_graph
 
@@ -35,6 +36,67 @@ def _connected(adj, mask):
         frontier = grow & mask & ~seen
         seen |= frontier
     return seen == mask
+
+
+def _induced_paths(g):
+    """Every induced path of two or more vertices, once per direction."""
+    def grow(path):
+        if len(path) >= 2:
+            yield path
+        for v in range(g.n):
+            if (v not in path and g.adj[path[-1]] >> v & 1
+                    and not any(g.adj[u] >> v & 1 for u in path[:-1])):
+                yield from grow(path + [v])
+    for r in range(g.n):
+        yield from grow([r])
+
+
+def _kernel_by_contract(g, head, roots, interior, close, count, need):
+    """What `_paths` yields, read off its docstring with no pruning:
+    tails r..c from roots through interior to a closer, carrying need
+    vertices of count with the head, never entering a closer that would
+    finish the path; in DFS order, a node's closers before its
+    children."""
+    def hits(vs):
+        return sum(count >> u & 1 for u in vs)
+
+    def fits(tail):
+        inner, c = tail[1:-1], tail[-1]
+        return (roots >> tail[0] & 1 and close >> c & 1
+                and all(interior >> u & 1 for u in inner)
+                and hits(head + tail) >= need
+                and not any(close >> u & 1
+                            and hits(head + tail[:i + 2]) >= need
+                            for i, u in enumerate(inner)))
+
+    def dfs_order(tail):
+        return (tail[0], *((1, u) for u in tail[1:-1]), (0, tail[-1]))
+
+    tails = sorted((t for t in _induced_paths(g) if fits(t)), key=dfs_order)
+    return [head + t for t in tails]
+
+
+class TestKernel:
+    def test_matches_unpruned_contract(self):
+        # the kernel's cuts may only drop branches that yield nothing;
+        # head vertices are kept out of the masks, as callers do
+        rng = random.Random(61)
+        yielded = 0
+        for _ in range(600):
+            n = rng.randint(1, 10)
+            g = make_random_graph(rng, n)
+            head = rng.sample(range(n), rng.randint(0, 1))
+            free = ((1 << n) - 1) & ~sum(1 << h for h in head)
+            roots, interior, close, count = (
+                free & rng.getrandbits(n) for _ in range(4))
+            need = rng.randint(0, 4)
+            got = list(_paths(g, head, roots, interior, close,
+                              SearchBudget(), count, need))
+            want = _kernel_by_contract(g, head, roots, interior, close,
+                                       count, need)
+            assert got == want
+            yielded += len(got)
+        assert yielded > 1000
 
 
 class TestTriangle:
