@@ -203,9 +203,10 @@ def replay_trace(trace: ConstructionTrace) -> Graft:
 def check_equivalence(k: int, cap: int = EQUIV_CAP):
     """Bijection between the pair-derived graft and the built graft at
     level k, or None if the two builders disagree (a bug, not an input
-    condition)."""
+    condition). cap bounds k here; each builder keeps its own cap, so a k
+    above PAIR_CAP or GRAFT_CAP raises CapError before anything is built."""
     if k < 1 or k > cap:
         raise CapError(f"k must lie in 1..{cap}, got {k}")
-    a = graft_from_pair(burling_pair(k, cap=max(PAIR_CAP, cap)))
-    b, _ = build_graft(k, cap=max(GRAFT_CAP, cap))
+    a = graft_from_pair(burling_pair(k))
+    b, _ = build_graft(k)
     return graft_isomorphic(a, b)

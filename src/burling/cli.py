@@ -170,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="exact chi (default)")
     mode.add_argument("--bounds", action="store_true",
                       help="cheap lower/upper bounds only")
-    p.add_argument("--rainbow", type=int, nargs=2, metavar=("K", "C"),
+    mode.add_argument("--rainbow", type=int, nargs=2, metavar=("K", "C"),
                    help="search a proper C-coloring keeping every tip "
                         "below K neighborhood colors")
     p.set_defaults(func=_cmd_chroma)

@@ -92,9 +92,10 @@ class Graph:
             raise InvalidVertexError(f"vertex {v} out of range for n={self.n}")
 
     def vertex_mask(self, vertices: Iterable[int]) -> int:
-        m = mask_of(vertices)
-        if m & ~((1 << self.n) - 1) or m < 0:
-            raise InvalidVertexError(f"vertex set out of range for n={self.n}")
+        m = 0
+        for v in vertices:
+            self.check_vertex(v)
+            m |= 1 << v
         return m
 
     def has_edge(self, u: int, v: int) -> bool:

@@ -18,7 +18,7 @@ from typing import TextIO
 
 from .graph import Graph, Graft
 from .witness import Witness
-from .errors import FormatError
+from .errors import BurlingError, FormatError, InvalidArgumentError
 
 __all__ = [
     "graph_to_json", "graph_from_json",
@@ -47,53 +47,56 @@ def graph_to_json(g: Graph, tips: frozenset[int] | None = None,
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
-def _parse_doc(text: str) -> dict:
+def _checked_doc(text: str, keys: set[str], required: tuple[str, ...]) -> dict:
+    """The JSON object in text, with no key outside keys and every key
+    of required."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError("top level must be a JSON object")
-    unknown = set(doc) - _GRAPH_KEYS
+    unknown = set(doc) - keys
     if unknown:
         raise FormatError(f"unknown keys: {sorted(unknown)}")
-    for key in ("n", "edges"):
+    for key in required:
         if key not in doc:
             raise FormatError(f"missing required key {key!r}")
-    if not isinstance(doc["n"], int) or isinstance(doc["n"], bool) or doc["n"] < 0:
-        raise FormatError("'n' must be a non-negative integer")
-    if doc["n"] > MAX_FILE_VERTICES:
-        raise FormatError(f"'n' is {doc['n']}, above the limit of "
-                          f"{MAX_FILE_VERTICES} vertices")
-    if not isinstance(doc["edges"], list):
-        raise FormatError("'edges' must be a list")
     return doc
 
 
-def _parse_edges(doc: dict) -> list[tuple[int, int]]:
-    out = []
-    for item in doc["edges"]:
-        if (not isinstance(item, list) or len(item) != 2
-                or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)):
-            raise FormatError(f"bad edge entry: {item!r}")
-        out.append((item[0], item[1]))
-    return out
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_list(x, what: str) -> list[int]:
+    if not isinstance(x, list) or not all(map(_is_int, x)):
+        raise FormatError(f"{what} must be a list of integers")
+    return x
 
 
 def graph_from_json(text: str) -> tuple[Graph, frozenset[int] | None, str | None]:
     """Parse graph JSON; returns (graph, tips or None, name or None)."""
-    doc = _parse_doc(text)
+    doc = _checked_doc(text, _GRAPH_KEYS, ("n", "edges"))
     n = doc["n"]
+    if not _is_int(n) or n < 0:
+        raise FormatError("'n' must be a non-negative integer")
+    if n > MAX_FILE_VERTICES:
+        raise FormatError(f"'n' is {n}, above the limit of "
+                          f"{MAX_FILE_VERTICES} vertices")
+    if not isinstance(doc["edges"], list):
+        raise FormatError("'edges' must be a list")
+    for item in doc["edges"]:
+        if (not isinstance(item, list) or len(item) != 2
+                or not all(map(_is_int, item))):
+            raise FormatError(f"bad edge entry: {item!r}")
     try:
-        g = Graph.from_edges(n, _parse_edges(doc))
-    except Exception as exc:
+        g = Graph.from_edges(n, doc["edges"])
+    except BurlingError as exc:
         raise FormatError(f"bad graph data: {exc}") from exc
     tips = None
     if "tips" in doc:
-        if (not isinstance(doc["tips"], list)
-                or not all(isinstance(t, int) and not isinstance(t, bool) for t in doc["tips"])):
-            raise FormatError("'tips' must be a list of integers")
-        tips = frozenset(doc["tips"])
+        tips = frozenset(_int_list(doc["tips"], "'tips'"))
         bad = [t for t in tips if not 0 <= t < n]
         if bad:
             raise FormatError(f"tips out of range: {sorted(bad)}")
@@ -159,27 +162,23 @@ def witness_to_json(w: Witness) -> str:
 
 
 def witness_from_json(text: str) -> Witness:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FormatError("top level must be a JSON object")
-    unknown = set(doc) - _WITNESS_KEYS
-    if unknown:
-        raise FormatError(f"unknown keys: {sorted(unknown)}")
-    if "kind" not in doc or "vertices" not in doc:
-        raise FormatError("witness needs 'kind' and 'vertices'")
+    doc = _checked_doc(text, _WITNESS_KEYS, ("kind", "vertices"))
+    for key in ("center", "k"):
+        if key in doc and not _is_int(doc[key]):
+            raise FormatError(f"{key!r} must be an integer")
+    paths = doc.get("paths", [])
+    if not isinstance(paths, list):
+        raise FormatError("'paths' must be a list of integer lists")
     try:
         return Witness(
             kind=doc["kind"],
-            vertices=tuple(doc["vertices"]),
+            vertices=tuple(_int_list(doc["vertices"], "'vertices'")),
             center=doc.get("center"),
             k=doc.get("k", 0),
-            hits=tuple(doc.get("hits", ())),
-            paths=tuple(tuple(p) for p in doc.get("paths", ())),
+            hits=tuple(_int_list(doc.get("hits", []), "'hits'")),
+            paths=tuple(tuple(_int_list(p, "each path")) for p in paths),
         )
-    except Exception as exc:
+    except InvalidArgumentError as exc:
         raise FormatError(f"bad witness data: {exc}") from exc
 
 

@@ -42,17 +42,14 @@ __all__ = [
 # Largest graph a detector will search without an explicit budget.
 UNBUDGETED_MAX = 64
 
-# The kernel counts search nodes locally and flushes in batches of this
-# size, so an exceeded budget may overshoot by at most one batch per open
-# search.
-_FLUSH = 1024
-
 
 class SearchBudget:
     """Node-tick accounting shared by the detectors.
 
-    limit None means unlimited; nodes still accumulates so callers can
-    report how much work a verdict took.
+    The search kernel spends one node on every node it searches, so a
+    search raises on its first node past the limit, and then nodes is
+    limit + 1. limit None means unlimited; nodes still accumulates so
+    callers can report how much work a verdict took.
     """
 
     __slots__ = ("limit", "nodes")
@@ -68,10 +65,6 @@ class SearchBudget:
         self.nodes += k
         if self.limit is not None and self.nodes > self.limit:
             raise SearchBudgetExceeded(self.nodes)
-
-    def charge(self, k: int) -> None:
-        """Add k nodes without enforcing the limit (final flushes)."""
-        self.nodes += k
 
 
 def _budget_for(g: Graph, budget) -> SearchBudget:
@@ -99,7 +92,8 @@ def _paths(g: Graph, head: list[int], roots: int, interior: int, close: int,
     that brings the path to need finishes it and is never entered; other
     vertices of close are entered only if they lie in interior. Roots are
     searched in increasing order, closers yielded in increasing order,
-    and children popped in increasing order.
+    and children popped in increasing order. Each node is spent on the
+    budget as it is popped, before it is searched.
 
     Three cuts, all applied at each node v before its children are
     pushed. They rest on the banned mask: a vertex joins or closes the
@@ -138,56 +132,49 @@ def _paths(g: Graph, head: list[int], roots: int, interior: int, close: int,
         r = roots.bit_length() - 1
         roots ^= 1 << r
         stack.append((r, banned | 1 << r, hits + (count >> r & 1), len(head)))
-    local = 0
-    try:
-        while stack:
-            v, banned, hits, depth = stack.pop()
-            local += 1
-            if local >= _FLUSH:
-                budget.spend(local)
-                local = 0
-            del path[depth:]
-            path.append(v)
-            if need and hits + (count & ~banned).bit_count() < need:
-                continue
-            free = adj[v] & ~banned
-            if hits >= need:
-                done = free & close
-            elif hits + 1 == need:
-                done = free & close & count
-            else:
-                done = 0
-            m = done
-            while m:
-                c = m & -m
-                m ^= c
-                yield path + [c.bit_length() - 1]
-            m = free & interior & ~done
-            if not m or not close & ~(banned | adj[v]):
-                continue
-            banned |= adj[v]
-            seen = front = m
+    while stack:
+        v, banned, hits, depth = stack.pop()
+        budget.spend(1)
+        del path[depth:]
+        path.append(v)
+        if need and hits + (count & ~banned).bit_count() < need:
+            continue
+        free = adj[v] & ~banned
+        if hits >= need:
+            done = free & close
+        elif hits + 1 == need:
+            done = free & close & count
+        else:
+            done = 0
+        m = done
+        while m:
+            c = m & -m
+            m ^= c
+            yield path + [c.bit_length() - 1]
+        m = free & interior & ~done
+        if not m or not close & ~(banned | adj[v]):
+            continue
+        banned |= adj[v]
+        seen = front = m
+        while front:
+            grow = 0
             while front:
-                grow = 0
-                while front:
-                    u = front & -front
-                    front ^= u
-                    grow |= adj[u.bit_length() - 1]
-                front = grow & ~(banned | seen)
-                seen |= front
-                if (close & seen & ~banned
-                        and hits + (count & seen).bit_count() >= need):
-                    break
-                front &= interior
-            else:
-                continue
-            while m:
-                c = m.bit_length() - 1
-                m ^= 1 << c
-                stack.append((c, banned | 1 << c, hits + (count >> c & 1),
-                              depth + 1))
-    finally:
-        budget.charge(local)
+                u = front & -front
+                front ^= u
+                grow |= adj[u.bit_length() - 1]
+            front = grow & ~(banned | seen)
+            seen |= front
+            if (close & seen & ~banned
+                    and hits + (count & seen).bit_count() >= need):
+                break
+            front &= interior
+        else:
+            continue
+        while m:
+            c = m.bit_length() - 1
+            m ^= 1 << c
+            stack.append((c, banned | 1 << c, hits + (count >> c & 1),
+                          depth + 1))
 
 
 def _above(v: int, mask: int) -> int:
@@ -412,18 +399,18 @@ class CleanReport:
         return sum(v.nodes for _, v in self.items())
 
 
-def _stable_verdict(gf: Graft) -> Verdict:
-    g = gf.graph
+def _find_stable_violation(gf: Graft, budget: SearchBudget):
+    """The first tip, in increasing order, with a tip neighbour, as a
+    stable-violation witness with its lowest tip neighbour; or None.
+    Each tip checked is one search node."""
     tm = gf.tip_mask
-    checked = 0
     for t in sorted(gf.tips):
-        checked += 1
-        m = g.adj[t] & tm
+        budget.spend(1)
+        m = gf.graph.adj[t] & tm
         if m:
             u = (m & -m).bit_length() - 1
-            w = Witness("stable-violation", (min(t, u), max(t, u)))
-            return Verdict(False, w, checked)
-    return Verdict(True, None, checked)
+            return Witness("stable-violation", (min(t, u), max(t, u)))
+    return None
 
 
 def is_clean(gf: Graft, budget=None) -> CleanReport:
@@ -442,7 +429,7 @@ def is_clean(gf: Graft, budget=None) -> CleanReport:
         return Verdict(w is None, w, b.nodes - before)
 
     v1 = run(find_triangle, g)
-    v2 = _stable_verdict(gf)
+    v2 = run(_find_stable_violation, gf)
     v3 = run(find_wheel, g, 3)
     v4 = run(find_guarded_fan, gf)
     v5 = run(find_mountable_path, gf)

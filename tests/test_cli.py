@@ -186,6 +186,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     bad.write_text("{broken")
     assert run(["verify", "--in", str(bad)]) == 2
     assert run(["verify", "--in", str(tmp_path / "missing.graph")]) == 2
+    g2 = tmp_path / "g2.graph"
+    assert run(["generate", "--mode", "graft", "--k", "2", "--out", str(g2)]) == 0
+    assert run(["chroma", "--in", str(g2), "--bounds", "--rainbow", "3", "3"]) == 2
     capsys.readouterr()
 
 
@@ -195,6 +198,8 @@ def test_cap_errors_exit_3(tmp_path, capsys):
     assert run(["generate", "--mode", "pair", "--k", "6",
                 "--out", str(tmp_path / "x")]) == 3
     assert not (tmp_path / "x").exists()
+    # the builders keep their own caps: pair 6 is never started
+    assert run(["equiv", "--k", "6", "--cap", "6"]) == 3
     capsys.readouterr()
 
 

@@ -2,7 +2,9 @@
 
 import pytest
 
-from burling import Graph, Graft, InvalidArgumentError, InvalidVertexError
+from burling import (
+    Graph, Graft, StablePair, InvalidArgumentError, InvalidVertexError,
+)
 
 
 def test_from_edges_basic():
@@ -86,3 +88,17 @@ def test_graft_requires_valid_tips():
     assert gf.tip_mask == 0b100
     with pytest.raises(InvalidVertexError):
         Graft(g, frozenset({3}))
+
+
+@pytest.mark.parametrize("vertices", [[-1], [0, -2], [3], [0, 1, 5]])
+def test_vertex_sets_out_of_range_rejected(vertices):
+    g = Graph.from_edges(3, [(0, 1)])
+    for query in (g.vertex_mask, g.is_stable_set, g.induced_subgraph,
+                  g.delete_vertices):
+        with pytest.raises(InvalidVertexError):
+            query(vertices)
+
+
+def test_stable_pair_negative_vertex_rejected():
+    with pytest.raises(InvalidVertexError):
+        StablePair(Graph.from_edges(3, [(0, 1)]), ({-2},))

@@ -104,6 +104,15 @@ def test_witness_defaults_omitted():
     '{"kind": "triangle"}',
     '{"kind": "no-such", "vertices": [0]}',
     '{"kind": "triangle", "vertices": [0, 1, 2], "extra": 1}',
+    '[0, 1, 2]',
+    '{"kind": "triangle", "vertices": "abc"}',
+    '{"kind": "triangle", "vertices": [0, 1, true]}',
+    '{"kind": "triangle", "vertices": [0, 1, 2.0]}',
+    '{"kind": "wheel", "vertices": [0, 1, 2, 3], "hits": "01"}',
+    '{"kind": "wheel", "vertices": [0, 1, 2, 3], "center": "4"}',
+    '{"kind": "wheel", "vertices": [0, 1, 2, 3], "center": 4, "k": "3"}',
+    '{"kind": "theta", "vertices": [0, 4], "paths": [[0, 1, 4], "024"]}',
+    '{"kind": "theta", "vertices": [0, 4], "paths": 7}',
 ])
 def test_malformed_witness_docs_rejected(text):
     with pytest.raises(FormatError):

@@ -14,7 +14,7 @@ from burling import (
     Graph, Graft, validate_witness,
     find_triangle, find_hole, find_wheel, find_theta, find_fan,
     find_guarded_fan, find_mountable_path,
-    is_clean, SearchBudget, UNBUDGETED_MAX,
+    is_clean, SearchBudget, UNBUDGETED_MAX, build_graft,
     SearchBudgetExceeded, BudgetRequiredError, InvalidArgumentError,
 )
 from burling.bits import bits
@@ -331,16 +331,30 @@ class TestBudgets:
             find_triangle(g)
         assert find_triangle(g, budget=10 ** 6) is None
 
-    def test_exhaustion_raises_instead_of_holds(self, petersen, monkeypatch):
-        # enforcement is flush-granular: a search that finishes inside
-        # one quantum may return a sound verdict under any limit, so
-        # shrink the quantum to see the raise at toy scale
-        monkeypatch.setattr("burling.patterns._FLUSH", 1)
+    def test_exhaustion_raises_instead_of_holds(self, petersen):
         with pytest.raises(SearchBudgetExceeded):
             find_wheel(petersen, 3, budget=SearchBudget(5))
 
-    def test_sub_quantum_search_still_returns_verdict(self, petersen):
-        assert find_wheel(petersen, 3, budget=SearchBudget(1)) is None
+    def test_limit_is_exact(self, petersen):
+        # a finished search fits a limit of exactly its node count; one
+        # node less raises on the first node past it
+        full = SearchBudget()
+        assert find_wheel(petersen, 3, budget=full) is None
+        assert full.nodes > 1
+        assert find_wheel(petersen, 3, budget=SearchBudget(full.nodes)) is None
+        b = SearchBudget(full.nodes - 1)
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            find_wheel(petersen, 3, budget=b)
+        assert b.nodes == exc.value.nodes == b.limit + 1
+
+    def test_many_small_searches_obey_the_limit(self):
+        # the wheel search on g4 is hundreds of thousands of small
+        # kernel calls, none of which reaches the limit on its own
+        g4, _ = build_graft(4)
+        b = SearchBudget(5000)
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            find_wheel(g4.graph, 3, budget=b)
+        assert b.nodes == exc.value.nodes == 5001
 
     def test_shared_budget_accumulates(self, petersen):
         b = SearchBudget(10 ** 6)
@@ -388,6 +402,21 @@ class TestIsClean:
         fan = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (4, 0), (4, 1), (4, 2)])
         rep3 = is_clean(Graft(fan, frozenset({0, 3})))
         assert not rep3.no_guarded_fan.holds
+
+    def test_shared_budget_counts_every_condition(self):
+        gf = build_graft(3)[0]
+        b = SearchBudget()
+        rep = is_clean(gf, budget=b)
+        assert rep.all_hold
+        assert rep.tips_stable.nodes == len(gf.tips)
+        assert rep.nodes == b.nodes
+
+    def test_shared_budget_exhausts_across_conditions(self):
+        gf = build_graft(3)[0]
+        b = SearchBudget(is_clean(gf, budget=SearchBudget()).nodes - 1)
+        with pytest.raises(SearchBudgetExceeded) as exc:
+            is_clean(gf, budget=b)
+        assert b.nodes == exc.value.nodes == b.limit + 1
 
     def test_int_budget_gives_each_condition_its_own(self):
         rep = is_clean(self.c5_graft(), budget=10 ** 5)
