@@ -1,50 +1,64 @@
-"""Exact graft isomorphism: partition refinement plus backtracking.
+"""Exact graft isomorphism and proven automorphism orbits: partition
+refinement plus backtracking.
 
 Initial colors encode (degree, tip membership); refinement rounds replace
 each color with (color, sorted multiset of neighbor colors), interned in
 one table shared by both graphs so colors stay comparable. When classes
 stop splitting and are not all singletons, the smallest class is split by
-individualization and the search branches.
+individualization and the search branches. `orbits` runs the same steps
+on two copies of one graft to find automorphisms, which the detectors
+use to skip symmetric search roots.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .bits import bits
+from .bits import bits, mask_of
 from .graph import Graph, Graft
 
-__all__ = ["graft_isomorphic", "graph_isomorphic"]
+__all__ = ["graft_isomorphic", "graph_isomorphic", "orbits"]
 
 
-def _refine(g1: Graph, g2: Graph, c1: list[int], c2: list[int]):
-    """Jointly refine both colorings to a stable partition."""
-    ncolors = len(set(c1) | set(c2))
+def _refine(gs: tuple[Graph, ...], cs: list[list[int]], budget=None):
+    """Jointly refine the colorings cs of the graphs gs to a stable
+    partition. With a budget, each round first spends one node per
+    vertex it recolors, the first round before any other work."""
+    ncolors = len(set().union(*cs))
+    nbrs = None
     while True:
+        if budget is not None:
+            budget.spend(sum(g.n for g in gs))
+        if nbrs is None:
+            nbrs = [[list(bits(row)) for row in g.adj] for g in gs]
         intern: dict = {}
-        c1, c2 = [[intern.setdefault(
-                      (c[v], tuple(sorted(c[u] for u in bits(g.adj[v])))),
-                      len(intern)) for v in range(g.n)]
-                  for g, c in ((g1, c1), (g2, c2))]
+        cs = [[intern.setdefault(
+                  (c[v], tuple(sorted(map(c.__getitem__, nb)))),
+                  len(intern)) for v, nb in enumerate(nbv)]
+              for nbv, c in zip(nbrs, cs)]
         if len(intern) == ncolors:
-            return c1, c2
+            return cs
         ncolors = len(intern)
+
+
+def _maps_edges(g1: Graph, g2: Graph, perm) -> bool:
+    """Whether perm carries every edge of g1 to an edge of g2."""
+    return all(g2.adj[perm[u]] >> perm[v] & 1 for u, v in g1.edges())
 
 
 def _extract(g1: Graph, g2: Graph, c1: list[int], c2: list[int]):
     """All classes are singletons: read off the map and verify it."""
     where = {c: v for v, c in enumerate(c2)}
     perm = tuple(where[c] for c in c1)
-    for u, v in g1.edges():
-        if not g2.adj[perm[u]] >> perm[v] & 1:
-            return None
-    return perm
+    return perm if _maps_edges(g1, g2, perm) else None
 
 
-def _search(g1: Graph, g2: Graph, c1: list[int], c2: list[int]):
+def _search(g1: Graph, g2: Graph, c1: list[int], c2: list[int],
+            budget=None):
     """Refine, then individualize the first vertex of g1 in the smallest
     non-singleton class against each vertex of g2 in that class, in
-    increasing order; the first verified map found, or None.
+    increasing order; the first verified map found, or None. A budget
+    is spent by every refinement, as `_refine` says.
 
     An explicit trail, not recursion, so depth is not capped by Python's
     recursion limit. One frame per individualization: the refined
@@ -53,7 +67,7 @@ def _search(g1: Graph, g2: Graph, c1: list[int], c2: list[int]):
     """
     trail: list[tuple] = []
     while True:
-        c1, c2 = _refine(g1, g2, c1, c2)
+        c1, c2 = _refine((g1, g2), [c1, c2], budget)
         hist = Counter(c1)
         if hist == Counter(c2):
             if all(size == 1 for size in hist.values()):
@@ -81,7 +95,7 @@ def _search(g1: Graph, g2: Graph, c1: list[int], c2: list[int]):
 def _initial(g: Graph, tips: frozenset[int], intern: dict) -> list[int]:
     out = []
     for v in range(g.n):
-        key = (g.degree(v), v in tips)
+        key = (g.adj[v].bit_count(), v in tips)
         out.append(intern.setdefault(key, len(intern)))
     return out
 
@@ -99,6 +113,85 @@ def graft_isomorphic(a: Graft, b: Graft):
     c1 = _initial(a.graph, a.tips, intern)
     c2 = _initial(b.graph, b.tips, intern)
     return _search(a.graph, b.graph, c1, c2)
+
+
+def _individualized(g: Graph, c: list[int], v: int, w: int, budget):
+    """An automorphism of g that keeps the stable coloring c and maps v
+    to w, checked edge by edge; or None if there is none.
+
+    Individualize v in one copy of c and w in the other, and refine
+    both at once. Refinement commutes with automorphisms, so if the
+    two colorings differ, no automorphism maps v to w. Otherwise try
+    the map that pairs each class's members in increasing order, and
+    fall back to `_search` only if that map fails its edge check.
+    """
+    c1, c2 = list(c), list(c)
+    c1[v] = c2[w] = max(c) + 1
+    c1, c2 = _refine((g, g), [c1, c2], budget)
+    o1 = sorted(range(g.n), key=c1.__getitem__)
+    o2 = sorted(range(g.n), key=c2.__getitem__)
+    if any(c1[a] != c2[b] for a, b in zip(o1, o2)):
+        return None
+    perm = [0] * g.n
+    for a, b in zip(o1, o2):
+        perm[a] = b
+    if _maps_edges(g, g, perm):
+        return perm
+    return _search(g, g, c1, c2, budget)
+
+
+def orbits(gf: Graft, budget) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Proven orbits of the tip-preserving automorphisms of gf, as
+    (reps, maps): reps[v] is the least vertex of v's orbit, and maps
+    are the automorphisms that prove it.
+
+    Refine the graph, with tips and non-tips told apart from the start.
+    In each cell, try the least vertex v against each other member w
+    not yet in v's orbit: if v and w are twins (the same neighbours
+    apart from each other) the swap of v and w is the map, and else
+    `_individualized` looks for one. A map joins orbits only after it
+    is checked edge by edge and tip by tip, so vertices that share a
+    rep are mapped to each other by an automorphism. Orbits may be
+    finer than the true ones, but never coarser.
+
+    Every refinement round spends one node per vertex on budget before
+    it runs, so the work stops at the budget's limit.
+    """
+    g = gf.graph
+    tips = gf.tip_mask
+    (c,) = _refine((g,), [_initial(g, gf.tips, {})], budget)
+    reps = list(range(g.n))
+    maps = []
+
+    def find(v):
+        while reps[v] != v:
+            reps[v] = v = reps[reps[v]]
+        return v
+
+    cells: dict[int, list[int]] = {}
+    for v, col in enumerate(c):
+        cells.setdefault(col, []).append(v)
+    for v, *rest in cells.values():
+        for w in rest:
+            if find(w) == find(v):
+                continue
+            if g.adj[v] & ~(1 << w) == g.adj[w] & ~(1 << v):
+                # the swap moves only the edges at v and w, and this
+                # test compares them all; both lie in one cell, so
+                # both are tips or neither is
+                perm = list(range(g.n))
+                perm[v], perm[w] = w, v
+                moved = ((v, w),)
+            else:
+                perm = _individualized(g, c, v, w, budget)
+                if perm is None or mask_of(perm[t] for t in gf.tips) != tips:
+                    continue
+                moved = enumerate(perm)
+            maps.append(tuple(perm))
+            for u, p in moved:
+                a, b = find(u), find(p)
+                reps[max(a, b)] = min(a, b)
+    return [find(v) for v in range(g.n)], maps
 
 
 def graph_isomorphic(g1: Graph, g2: Graph):

@@ -13,11 +13,17 @@ through root and interior vertices and finishes on a closer, a neighbour
 of its end drawn from a close mask. Cycles (triangles, holes, wheel rims)
 close on neighbours of the head vertex, theta branches on the far branch
 vertex, fans and mountable paths on an end vertex once the path carries
-enough pivot neighbours or tips. Pruning lives only in the kernel, so a
-new prune is written once and every detector gets it. Three cuts stop a
-branch that cannot finish: too few count vertices left unbanned, no
-closer left unbanned, and no closer or too few count vertices reachable
-from the children through unbanned interior vertices.
+enough pivot neighbours or tips. Branch cuts live only in the kernel,
+so a new cut is written once and every detector gets it. Three cuts
+stop a branch that cannot finish: too few count vertices left unbanned,
+no closer left unbanned, and no closer or too few count vertices
+reachable from the children through unbanned interior vertices.
+
+Two reductions sit in the detector loops instead, and both keep every
+witness. Wheels and fans search one hub or pivot per orbit of the
+graft's automorphisms, each orbit proven by explicit automorphisms
+(`_Orbits`, `iso.orbits`). Fans and mountable paths search each
+end-to-end path in one direction (`_end_to_end`).
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from typing import ClassVar
 
 from .bits import bits
 from .graph import Graph, Graft
+from .iso import orbits
 from .witness import Witness
 from .errors import (
     InvalidArgumentError, BudgetRequiredError, SearchBudgetExceeded,
@@ -46,7 +53,8 @@ UNBUDGETED_MAX = 64
 class SearchBudget:
     """Node-tick accounting shared by the detectors.
 
-    The search kernel spends one node on every node it searches, so a
+    The search kernel spends one node on every node it searches, and
+    the orbit step (`iso.orbits`) one node per vertex it recolors. A
     search raises on its first node past the limit, and then nodes is
     limit + 1. limit None means unlimited; nodes still accumulates so
     callers can report how much work a verdict took.
@@ -61,9 +69,10 @@ class SearchBudget:
         self.nodes = 0
 
     def spend(self, k: int) -> None:
-        """Add k nodes; raise once past the limit."""
+        """Add k nodes, one at a time: raise on the first past the limit."""
         self.nodes += k
         if self.limit is not None and self.nodes > self.limit:
+            self.nodes = self.limit + 1
             raise SearchBudgetExceeded(self.nodes)
 
 
@@ -195,6 +204,48 @@ def _cycles(g: Graph, s: int, allowed: int, budget: SearchBudget,
                           count, need)
 
 
+# -- symmetry -----------------------------------------------------------------
+
+class _Orbits:
+    """The roots a detector loop searches: one hub or pivot per proven
+    orbit of a graft's tip-preserving automorphisms.
+
+    The orbits come from `iso.orbits`, computed on first need and spent
+    on the budget of the search that needs them, so the detectors of
+    one is_clean call share one orbit step. Orbits of tip-preserving
+    automorphisms serve a search that ignores tips too: they are orbits
+    of a group of automorphisms of the graph, only maybe finer.
+    """
+
+    __slots__ = ("gf", "reps")
+
+    def __init__(self, gf: Graft):
+        self.gf = gf
+        self.reps = None
+
+    def roots(self, k: int, budget: SearchBudget):
+        """Yield each vertex of degree >= k, in increasing order, that
+        is the least of its proven orbit.
+
+        Automorphisms keep degrees, so a vertex is the least of its
+        orbit when no smaller vertex of degree >= k shares its degree.
+        Only a repeated degree calls for the orbit step.
+        """
+        adj = self.gf.graph.adj
+        seen = set()
+        for v in range(len(adj)):
+            d = adj[v].bit_count()
+            if d < k:
+                continue
+            if d in seen:
+                if self.reps is None:
+                    self.reps = orbits(self.gf, budget)[0]
+                if self.reps[v] != v:
+                    continue
+            seen.add(d)
+            yield v
+
+
 # -- triangles, holes and wheels ----------------------------------------------
 
 def find_triangle(g: Graph, budget=None):
@@ -244,23 +295,32 @@ def find_wheel(g: Graph, k: int = 3, budget=None, threads: int = 1):
     """A hole plus an off-hole hub with >= k neighbors on it, or None.
 
     Hub-first: each vertex of degree >= k is tried as the hub, anchoring
-    the rim DFS at its smallest rim neighbor. The first witness in that
-    fixed order is returned. threads is kept for existing callers and
+    the rim DFS at its smallest rim neighbor, and the hubs are cut to
+    one per proven orbit (`_Orbits`). The first witness in increasing
+    hub order is returned. threads is kept for existing callers and
     must be 1: threads give this pure-Python search no speedup.
     """
     if k < 3:
         raise InvalidArgumentError("wheels need k >= 3")
     if threads != 1:
         raise InvalidArgumentError(f"threads must be 1, got {threads}")
-    b = _budget_for(g, budget)
+    return _wheel(g, k, _Orbits(Graft(g)), _budget_for(g, budget))
+
+
+def _wheel(g: Graph, k: int, orbs: _Orbits, budget: SearchBudget):
+    """find_wheel's search over the hubs that orbs.roots yields.
+
+    An automorphism σ carries a wheel with hub h to a wheel with hub
+    σ(h), so the first hub with a wheel is the least of its orbit. It
+    is searched exactly as when every hub is, so the witness is the
+    same.
+    """
     full = (1 << g.n) - 1
-    for h in range(g.n):
+    for h in orbs.roots(k, budget):
         nh = g.adj[h]
-        if nh.bit_count() < k:
-            continue
         for a in bits(nh):
             allowed = full & ~(1 << h) & ~(nh & ((1 << a) - 1))
-            for cyc in _cycles(g, a, allowed, b, nh, k):
+            for cyc in _cycles(g, a, allowed, budget, nh, k):
                 if len(cyc) >= 4:
                     rim = _canon_cycle(tuple(cyc))
                     hit = tuple(v for v in rim if nh >> v & 1)
@@ -308,20 +368,58 @@ def find_theta(g: Graph, budget=None):
 
 # -- fans, guarded fans, mountable paths -------------------------------------
 
-def _fan(g: Graph, kind: str, k: int, ends: int, budget: SearchBudget):
+def _end_to_end(g: Graph, ends: int, interior: int, budget: SearchBudget,
+                count: int, need: int):
+    """The first induced path in `_paths` order whose two ends lie in
+    ends, whose other vertices lie in interior and which carries need
+    vertices of count; or None. Each root r gets its own kernel call
+    with the closers of ends above r, so each path is searched in one
+    direction only.
+
+    That finds the same path as one call over all roots with every end
+    as a closer, the full call. Let r be the least root the full call
+    yields from. Every path it yields from r closes above r: were its
+    closer c below r, the reversed path, or its shortest prefix of two
+    or more vertices that ends in ends and carries need vertices of
+    count, would be yielded from root c < r. So under r the full call
+    never uses a closer below r, its kernel tree under r is the same
+    with those closers dropped, and dropping them only lets the close
+    and reach cuts remove more branches that yield nothing. A root
+    below r yields nothing here: a path it yields has a shortest such
+    prefix, which the full call would yield from it.
+    """
+    for r in bits(ends):
+        close = _above(r, ends)
+        if not close:
+            return None
+        for path in _paths(g, [], 1 << r, interior, close, budget, count,
+                           need):
+            return path
+    return None
+
+
+def _fan(g: Graph, kind: str, k: int, ends: int, orbs: _Orbits,
+         budget: SearchBudget):
     """The first witness of the given kind over pivots in increasing
     order: an induced path avoiding the pivot, both ends in ends, with
     >= k pivot neighbors on it; or None.
+
+    Two reductions keep that witness. Each pivot's paths are searched
+    in one direction (`_end_to_end`), and the pivots are the ones
+    orbs.roots yields, where the automorphisms behind orbs map ends
+    onto ends. Such an automorphism σ carries a fan with pivot p to a
+    fan with pivot σ(p), so the first pivot with a fan is the least of
+    its orbit, and its search is unchanged. A path needs two ends, so
+    with fewer there is no search and no orbit work.
     """
+    if ends.bit_count() < 2:
+        return None
     full = (1 << g.n) - 1
-    for pivot in range(g.n):
+    for pivot in orbs.roots(k, budget):
         nf = g.adj[pivot]
-        if nf.bit_count() < k:
-            continue
         interior = full & ~(1 << pivot)
-        path_ends = ends & interior
-        for path in _paths(g, [], path_ends, interior, path_ends, budget,
-                           nf, k):
+        path = _end_to_end(g, ends & interior, interior, budget, nf, k)
+        if path is not None:
             hit = tuple(v for v in path if nf >> v & 1)
             return Witness(kind, tuple(path), center=pivot, k=len(hit),
                            hits=hit)
@@ -332,12 +430,13 @@ def find_fan(g: Graph, k: int = 3, budget=None):
     """An induced path plus a pivot with >= k neighbors on it, or None."""
     if k < 3:
         raise InvalidArgumentError("fans need k >= 3")
-    return _fan(g, "fan", k, (1 << g.n) - 1, _budget_for(g, budget))
+    return _fan(g, "fan", k, (1 << g.n) - 1, _Orbits(Graft(g)),
+                _budget_for(g, budget))
 
 
 def find_guarded_fan(gf: Graft, budget=None):
     """A fan whose path runs tip-to-tip, or None."""
-    return _fan(gf.graph, "guarded-fan", 3, gf.tip_mask,
+    return _fan(gf.graph, "guarded-fan", 3, gf.tip_mask, _Orbits(gf),
                 _budget_for(gf.graph, budget))
 
 
@@ -345,17 +444,19 @@ def find_mountable_path(gf: Graft, budget=None):
     """An induced path through >= 3 tips, or None.
 
     By minimality only paths with tip endpoints and exactly three tips
-    need searching: any longer offender contains one.
+    need searching: any longer offender contains one. Each path is
+    searched in one direction (`_end_to_end`).
     """
     g = gf.graph
     b = _budget_for(g, budget)
     tm = gf.tip_mask
     if tm.bit_count() < 3:
         return None
-    for path in _paths(g, [], tm, (1 << g.n) - 1, tm, b, tm, 3):
-        hit = tuple(u for u in path if tm >> u & 1)
-        return Witness("mountable-path", tuple(path), hits=hit)
-    return None
+    path = _end_to_end(g, tm, (1 << g.n) - 1, b, tm, 3)
+    if path is None:
+        return None
+    hit = tuple(u for u in path if tm >> u & 1)
+    return Witness("mountable-path", tuple(path), hits=hit)
 
 
 # -- the clean certifier ------------------------------------------------------
@@ -419,8 +520,11 @@ def is_clean(gf: Graft, budget=None) -> CleanReport:
 
     budget: None (unlimited, graphs <= 64 vertices only), an int limit
     applied to each condition separately, or a shared SearchBudget.
+    Wheel and guarded fan share one orbit step, spent on the budget of
+    the first of them that needs it.
     """
     g = gf.graph
+    orbs = _Orbits(gf)
 
     def run(fn, *args):
         b = _budget_for(g, budget)
@@ -430,7 +534,7 @@ def is_clean(gf: Graft, budget=None) -> CleanReport:
 
     v1 = run(find_triangle, g)
     v2 = run(_find_stable_violation, gf)
-    v3 = run(find_wheel, g, 3)
-    v4 = run(find_guarded_fan, gf)
+    v3 = run(_wheel, g, 3, orbs)
+    v4 = run(_fan, g, "guarded-fan", 3, gf.tip_mask, orbs)
     v5 = run(find_mountable_path, gf)
     return CleanReport(v1, v2, v3, v4, v5)

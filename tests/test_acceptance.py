@@ -209,7 +209,7 @@ def test_criterion_10_g4_clean_proof():
     g4, _ = build_graft(4)
     # an int budget gives each condition its own SearchBudget, which
     # raises when spent, so a returned report is five finished searches
-    rep = is_clean(g4, budget=10_000_000)
+    rep = is_clean(g4, budget=1_000_000)
     _report(10, "clean certification k=4", rep.all_hold,
             "all five conditions hold, nodes="
             f"{[v.nodes for _, v in rep.items()]}", t0, 300.0)

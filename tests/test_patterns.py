@@ -348,8 +348,9 @@ class TestBudgets:
         assert b.nodes == exc.value.nodes == b.limit + 1
 
     def test_many_small_searches_obey_the_limit(self):
-        # the wheel search on g4 is hundreds of thousands of small
-        # kernel calls, none of which reaches the limit on its own
+        # the wheel search on g4 spends its budget in many small steps,
+        # refinement rounds of its orbit step and then kernel calls,
+        # none of which reaches the limit on its own
         g4, _ = build_graft(4)
         b = SearchBudget(5000)
         with pytest.raises(SearchBudgetExceeded) as exc:
