@@ -4,10 +4,12 @@ refinement plus backtracking.
 Initial colors encode (degree, tip membership); refinement rounds replace
 each color with (color, sorted multiset of neighbor colors), interned in
 one table shared by both graphs so colors stay comparable. When classes
-stop splitting and are not all singletons, the smallest class is split by
-individualization and the search branches. `orbits` runs the same steps
-on two copies of one graft to find automorphisms, which the detectors
-use to skip symmetric search roots.
+stop splitting, the map that pairs each class's members in increasing
+order is tried first; if it fails its edge check, the smallest
+non-singleton class is split by individualization and the search
+branches. `orbits` runs the same search on two copies of one graft to
+find automorphisms, which the detectors use to skip symmetric search
+roots.
 """
 
 from __future__ import annotations
@@ -46,19 +48,22 @@ def _maps_edges(g1: Graph, g2: Graph, perm) -> bool:
     return all(g2.adj[perm[u]] >> perm[v] & 1 for u, v in g1.edges())
 
 
-def _extract(g1: Graph, g2: Graph, c1: list[int], c2: list[int]):
-    """All classes are singletons: read off the map and verify it."""
-    where = {c: v for v, c in enumerate(c2)}
-    perm = tuple(where[c] for c in c1)
-    return perm if _maps_edges(g1, g2, perm) else None
-
-
 def _search(g1: Graph, g2: Graph, c1: list[int], c2: list[int],
             budget=None):
-    """Refine, then individualize the first vertex of g1 in the smallest
-    non-singleton class against each vertex of g2 in that class, in
-    increasing order; the first verified map found, or None. A budget
-    is spent by every refinement, as `_refine` says.
+    """Refine, then try the in-order map, then individualize the first
+    vertex of g1 in the smallest non-singleton class against each vertex
+    of g2 in that class, in increasing order; the first verified map
+    found, or None. A budget is spent by every refinement, as `_refine`
+    says.
+
+    After each refinement the two colorings are compared as lists sorted
+    by color: if they differ, no map that keeps the colorings exists
+    below this node. If they agree, the in-order map pairs each class's
+    members in increasing order, a bijection that keeps the colorings,
+    and it is returned if it carries every edge of g1 to an edge of g2.
+    When every class is a singleton it is the only such bijection. Every map returned passes that
+    edge check, and the branching is that of a search without the
+    in-order map, so a map is found whenever one exists.
 
     An explicit trail, not recursion, so depth is not capped by Python's
     recursion limit. One frame per individualization: the refined
@@ -68,18 +73,20 @@ def _search(g1: Graph, g2: Graph, c1: list[int], c2: list[int],
     trail: list[tuple] = []
     while True:
         c1, c2 = _refine((g1, g2), [c1, c2], budget)
-        hist = Counter(c1)
-        if hist == Counter(c2):
-            if all(size == 1 for size in hist.values()):
-                found = _extract(g1, g2, c1, c2)
-                if found is not None:
-                    return found
-            else:
-                target = min((c for c, size in hist.items() if size > 1),
-                             key=lambda c: (hist[c], c))
-                fresh = max(max(c1), max(c2)) + 1
+        o1 = sorted(range(g1.n), key=c1.__getitem__)
+        o2 = sorted(range(g2.n), key=c2.__getitem__)
+        if [c1[v] for v in o1] == [c2[v] for v in o2]:
+            perm = [0] * g1.n
+            for a, b in zip(o1, o2):
+                perm[a] = b
+            if _maps_edges(g1, g2, perm):
+                return tuple(perm)
+            hist = Counter(c1)
+            split = [c for c, size in hist.items() if size > 1]
+            if split:
+                target = min(split, key=lambda c: (hist[c], c))
                 cands = iter([v for v in range(g2.n) if c2[v] == target])
-                trail.append((c1, c2, c1.index(target), fresh, cands))
+                trail.append((c1, c2, c1.index(target), max(c1) + 1, cands))
         while trail:
             b1, b2, v1, fresh, cands = trail[-1]
             v2 = next(cands, None)
@@ -115,31 +122,6 @@ def graft_isomorphic(a: Graft, b: Graft):
     return _search(a.graph, b.graph, c1, c2)
 
 
-def _individualized(g: Graph, c: list[int], v: int, w: int, budget):
-    """An automorphism of g that keeps the stable coloring c and maps v
-    to w, checked edge by edge; or None if there is none.
-
-    Individualize v in one copy of c and w in the other, and refine
-    both at once. Refinement commutes with automorphisms, so if the
-    two colorings differ, no automorphism maps v to w. Otherwise try
-    the map that pairs each class's members in increasing order, and
-    fall back to `_search` only if that map fails its edge check.
-    """
-    c1, c2 = list(c), list(c)
-    c1[v] = c2[w] = max(c) + 1
-    c1, c2 = _refine((g, g), [c1, c2], budget)
-    o1 = sorted(range(g.n), key=c1.__getitem__)
-    o2 = sorted(range(g.n), key=c2.__getitem__)
-    if any(c1[a] != c2[b] for a, b in zip(o1, o2)):
-        return None
-    perm = [0] * g.n
-    for a, b in zip(o1, o2):
-        perm[a] = b
-    if _maps_edges(g, g, perm):
-        return perm
-    return _search(g, g, c1, c2, budget)
-
-
 def orbits(gf: Graft, budget) -> tuple[list[int], list[tuple[int, ...]]]:
     """Proven orbits of the tip-preserving automorphisms of gf, as
     (reps, maps): reps[v] is the least vertex of v's orbit, and maps
@@ -149,10 +131,13 @@ def orbits(gf: Graft, budget) -> tuple[list[int], list[tuple[int, ...]]]:
     In each cell, try the least vertex v against each other member w
     not yet in v's orbit: if v and w are twins (the same neighbours
     apart from each other) the swap of v and w is the map, and else
-    `_individualized` looks for one. A map joins orbits only after it
-    is checked edge by edge and tip by tip, so vertices that share a
-    rep are mapped to each other by an automorphism. Orbits may be
-    finer than the true ones, but never coarser.
+    `_search` looks for one from two copies of the coloring, v
+    individualized in one and w in the other. A map it returns keeps
+    the colorings, in which v and w are alone in their classes, so it
+    takes v to w. A map joins orbits only after it is checked edge by
+    edge and tip by tip, so vertices that share a rep are mapped to each
+    other by an automorphism. Orbits may be finer than the true ones,
+    but never coarser.
 
     Every refinement round spends one node per vertex on budget before
     it runs, so the work stops at the budget's limit.
@@ -183,7 +168,9 @@ def orbits(gf: Graft, budget) -> tuple[list[int], list[tuple[int, ...]]]:
                 perm[v], perm[w] = w, v
                 moved = ((v, w),)
             else:
-                perm = _individualized(g, c, v, w, budget)
+                c1, c2 = list(c), list(c)
+                c1[v] = c2[w] = max(c) + 1
+                perm = _search(g, g, c1, c2, budget)
                 if perm is None or mask_of(perm[t] for t in gf.tips) != tips:
                     continue
                 moved = enumerate(perm)

@@ -23,7 +23,8 @@ Two reductions sit in the detector loops instead, and both keep every
 witness. Wheels and fans search one hub or pivot per orbit of the
 graft's automorphisms, each orbit proven by explicit automorphisms
 (`_Orbits`, `iso.orbits`). Fans and mountable paths search each
-end-to-end path in one direction (`_end_to_end`).
+end-to-end path in one direction (`_one_way`), the same loop that
+searches each triangle and cycle in one direction.
 """
 
 from __future__ import annotations
@@ -190,18 +191,44 @@ def _above(v: int, mask: int) -> int:
     return mask >> (v + 1) << (v + 1)
 
 
+def _one_way(g: Graph, head: list[int], ends: int, interior: int,
+             budget: SearchBudget, count: int = 0, need: int = 0):
+    """For each r in ends, in increasing order, with some end above r,
+    yield what `_paths(g, head, 1 << r, interior, _above(r, ends), ...)`
+    yields. So every path runs from its root r to a closer above r, and
+    a path with both ends in ends is searched in one direction only.
+
+    With an empty head, the first path this yields is the first path of
+    the full call: one `_paths` call over all of ends as roots with
+    every end as a closer. Let r be the least root the full call yields
+    from. Every path it yields from r closes above r: were its closer c
+    below r, the reversed path, or its shortest prefix of two or more
+    vertices that ends in ends and carries need vertices of count,
+    would be yielded from root c < r. So under r the full call never
+    uses a closer below r, its kernel tree under r is the same with
+    those closers dropped, and dropping them only lets the close and
+    reach cuts remove more branches that yield nothing. A root below r
+    yields nothing here: a path it yields has a shortest such prefix,
+    which the full call would yield from it. A root with no end above
+    it has no closer, so it is not searched.
+    """
+    for r in bits(ends):
+        if ends >> r + 1:
+            yield from _paths(g, head, 1 << r, interior, _above(r, ends),
+                              budget, count, need)
+
+
 def _cycles(g: Graph, s: int, allowed: int, budget: SearchBudget,
             count: int = 0, need: int = 0):
     """Yield induced cycles through s as vertex lists [s, v1, ..., c].
 
-    The other vertices lie in allowed. Each cycle comes once: its closer
-    c lies above v1, so of its two directions only one survives.
+    The other vertices lie in allowed. Each cycle comes once: v1 and c
+    are the two neighbours of s on it, and `_one_way` closes it only
+    above v1, so of its two directions only one survives.
     """
     ns = g.adj[s] & allowed
-    interior = allowed & ~ns & ~(1 << s)
-    for v1 in bits(ns):
-        yield from _paths(g, [s], 1 << v1, interior, _above(v1, ns), budget,
-                          count, need)
+    return _one_way(g, [s], ns, allowed & ~ns & ~(1 << s), budget, count,
+                    need)
 
 
 # -- symmetry -----------------------------------------------------------------
@@ -251,17 +278,14 @@ class _Orbits:
 def find_triangle(g: Graph, budget=None):
     """First triangle in lexicographic order, or None.
 
-    A triangle u < v < w is the path u-v closed by w. For each u the
-    roots v and closers w are the neighbours of u above u; the first
-    closer found lies above its root, since a root w < v with closer v
-    would have been searched first.
+    A triangle u < v < w is the path u-v closed by w. For each u,
+    `_one_way` takes the roots v from the neighbours of u above u, and
+    the closers w from those above v, in increasing order.
     """
     b = _budget_for(g, budget)
     for u in range(g.n):
-        up = _above(u, g.adj[u])
-        if up:
-            for tri in _paths(g, [u], up, 0, up, b):
-                return Witness("triangle", tuple(tri))
+        for tri in _one_way(g, [u], _above(u, g.adj[u]), 0, b):
+            return Witness("triangle", tuple(tri))
     return None
 
 
@@ -368,36 +392,6 @@ def find_theta(g: Graph, budget=None):
 
 # -- fans, guarded fans, mountable paths -------------------------------------
 
-def _end_to_end(g: Graph, ends: int, interior: int, budget: SearchBudget,
-                count: int, need: int):
-    """The first induced path in `_paths` order whose two ends lie in
-    ends, whose other vertices lie in interior and which carries need
-    vertices of count; or None. Each root r gets its own kernel call
-    with the closers of ends above r, so each path is searched in one
-    direction only.
-
-    That finds the same path as one call over all roots with every end
-    as a closer, the full call. Let r be the least root the full call
-    yields from. Every path it yields from r closes above r: were its
-    closer c below r, the reversed path, or its shortest prefix of two
-    or more vertices that ends in ends and carries need vertices of
-    count, would be yielded from root c < r. So under r the full call
-    never uses a closer below r, its kernel tree under r is the same
-    with those closers dropped, and dropping them only lets the close
-    and reach cuts remove more branches that yield nothing. A root
-    below r yields nothing here: a path it yields has a shortest such
-    prefix, which the full call would yield from it.
-    """
-    for r in bits(ends):
-        close = _above(r, ends)
-        if not close:
-            return None
-        for path in _paths(g, [], 1 << r, interior, close, budget, count,
-                           need):
-            return path
-    return None
-
-
 def _fan(g: Graph, kind: str, k: int, ends: int, orbs: _Orbits,
          budget: SearchBudget):
     """The first witness of the given kind over pivots in increasing
@@ -405,7 +399,7 @@ def _fan(g: Graph, kind: str, k: int, ends: int, orbs: _Orbits,
     >= k pivot neighbors on it; or None.
 
     Two reductions keep that witness. Each pivot's paths are searched
-    in one direction (`_end_to_end`), and the pivots are the ones
+    in one direction (`_one_way`), and the pivots are the ones
     orbs.roots yields, where the automorphisms behind orbs map ends
     onto ends. Such an automorphism σ carries a fan with pivot p to a
     fan with pivot σ(p), so the first pivot with a fan is the least of
@@ -418,7 +412,8 @@ def _fan(g: Graph, kind: str, k: int, ends: int, orbs: _Orbits,
     for pivot in orbs.roots(k, budget):
         nf = g.adj[pivot]
         interior = full & ~(1 << pivot)
-        path = _end_to_end(g, ends & interior, interior, budget, nf, k)
+        path = next(_one_way(g, [], ends & interior, interior, budget,
+                             nf, k), None)
         if path is not None:
             hit = tuple(v for v in path if nf >> v & 1)
             return Witness(kind, tuple(path), center=pivot, k=len(hit),
@@ -445,14 +440,14 @@ def find_mountable_path(gf: Graft, budget=None):
 
     By minimality only paths with tip endpoints and exactly three tips
     need searching: any longer offender contains one. Each path is
-    searched in one direction (`_end_to_end`).
+    searched in one direction (`_one_way`).
     """
     g = gf.graph
     b = _budget_for(g, budget)
     tm = gf.tip_mask
     if tm.bit_count() < 3:
         return None
-    path = _end_to_end(g, tm, (1 << g.n) - 1, b, tm, 3)
+    path = next(_one_way(g, [], tm, (1 << g.n) - 1, b, tm, 3), None)
     if path is None:
         return None
     hit = tuple(u for u in path if tm >> u & 1)

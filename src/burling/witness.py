@@ -131,7 +131,7 @@ def validate_witness(g: Graph, tips: frozenset[int] | None, w: Witness) -> bool:
         for p in w.paths:
             if len(p) < 3 or p[0] != a or p[-1] != b:
                 return False
-            if not g.is_induced_path(p):
+            if not _distinct(p) or not g.is_induced_path(p):
                 return False
             interiors.append(p[1:-1])
         if not _distinct(*interiors):
@@ -148,7 +148,7 @@ def validate_witness(g: Graph, tips: frozenset[int] | None, w: Witness) -> bool:
         path = w.vertices
         if pivot is None or pivot in path:
             return False
-        if not g.is_induced_path(path):
+        if not _distinct(path) or not g.is_induced_path(path):
             return False
         actual_hits = tuple(v for v in path if g.adj[pivot] >> v & 1)
         if set(actual_hits) != set(w.hits):
@@ -166,7 +166,7 @@ def validate_witness(g: Graph, tips: frozenset[int] | None, w: Witness) -> bool:
         if tips is None:
             return False
         path = w.vertices
-        if not g.is_induced_path(path):
+        if not _distinct(path) or not g.is_induced_path(path):
             return False
         on_path_tips = tuple(v for v in path if v in tips)
         if set(w.hits) != set(on_path_tips):

@@ -5,7 +5,10 @@ import itertools
 import random
 import sys
 
-from burling import Graph, Graft, graph_isomorphic, graft_isomorphic
+from burling import (
+    Graph, Graft, SearchBudget, graph_isomorphic, graft_isomorphic,
+)
+from burling.iso import _initial, _search
 
 from conftest import make_random_graph
 
@@ -124,14 +127,27 @@ def test_graft_oracle_agreement_with_tips():
 
 
 def test_search_deeper_than_recursion_limit():
-    # one individualization per edge: a recursive search nests about 120
-    # calls deep, past the 60 frames the lowered limit leaves it
+    # against a shuffled copy the in-order map keeps failing, so the
+    # search individualizes about once per edge: a recursive search nests
+    # about 120 calls deep, past the 60 frames the lowered limit leaves it
     g = Graph.from_edges(240, [(2 * i, 2 * i + 1) for i in range(120)])
+    perm = list(range(g.n))
+    random.Random(17).shuffle(perm)
+    h = apply_perm(g, perm)
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 60)
     try:
-        perm = graph_isomorphic(g, g)
+        got = graph_isomorphic(g, h)
     finally:
         sys.setrecursionlimit(old)
-    assert perm is not None
-    check_certificate(g, g, perm)
+    assert got is not None
+    check_certificate(g, h, got)
+
+
+def test_in_order_map_answers_before_individualizing():
+    # one refinement of both sides leaves a single class; the in-order
+    # map is the identity and passes, so no individualization is needed
+    g = Graph.from_edges(2400, [(2 * i, 2 * i + 1) for i in range(1200)])
+    c = _initial(g, frozenset(), {})
+    got = _search(g, g, c, c, SearchBudget(2 * 2 * g.n))
+    assert got == tuple(range(g.n))

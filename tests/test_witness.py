@@ -99,6 +99,20 @@ def test_stable_violation():
     assert not validate_witness(g, frozenset({0, 2}), w("stable-violation", (0, 2)))
 
 
+def test_repeated_path_vertex_is_rejected_not_raised():
+    p4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    assert not validate_witness(
+        p4, None, w("fan", (0, 1, 0), center=3, hits=(0,)))
+    assert not validate_witness(
+        p4, frozenset({0}), w("guarded-fan", (0, 1, 0), center=3, hits=(0,)))
+    assert not validate_witness(
+        p4, frozenset({0, 1}), w("mountable-path", (0, 1, 0), hits=(0,)))
+    k23 = Graph.from_edges(5, [(0, 2), (0, 3), (0, 4),
+                               (1, 2), (1, 3), (1, 4)])
+    paths = ((0, 2, 2, 1), (0, 3, 1), (0, 4, 1))
+    assert not validate_witness(k23, None, w("theta", (0, 1), paths=paths))
+
+
 def test_out_of_range_vertices_raise():
     from burling import InvalidVertexError
     g = Graph.from_edges(3, [(0, 1)])
