@@ -10,7 +10,7 @@ from burling.fuzz import generate_sequence, run_sequence
 worst = None
 for seed in range(25):
     seq = generate_sequence(seed, length=10)
-    res = run_sequence(seq, check_each=True)
+    res = run_sequence(seq)
     assert res.ok, f"seed {seed} broke an invariant at step {res.failed_at}"
     if worst is None or res.final.graph.n > worst[1].final.graph.n:
         worst = (seq, res)

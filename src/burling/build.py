@@ -79,10 +79,17 @@ def next_pair(p: StablePair) -> StablePair:
     return StablePair(out, tuple(stables))
 
 
+def _check_level(k: int, cap: int) -> None:
+    """A level below 1 is bad input; one above cap exceeds the cap."""
+    if k < 1:
+        raise InvalidArgumentError(f"k must be at least 1, got {k}")
+    if k > cap:
+        raise CapError(f"k must lie in 1..{cap}, got {k}")
+
+
 def burling_pair(k: int, cap: int = PAIR_CAP) -> StablePair:
     """The k-th pair: k-1 successor rounds from (K1, [{0}])."""
-    if k < 1 or k > cap:
-        raise CapError(f"k must lie in 1..{cap}, got {k}")
+    _check_level(k, cap)
     p = StablePair(Graph.from_edges(1, []), (frozenset({0}),))
     for _ in range(k - 1):
         p = next_pair(p)
@@ -171,8 +178,7 @@ def build_graft(k: int, cap: int = GRAFT_CAP) -> tuple[Graft, ConstructionTrace]
     times; X_u is u plus its clones, joined with the default pairing.
     Every op appends one vertex, so each created id is known in advance.
     """
-    if k < 1 or k > cap:
-        raise CapError(f"k must lie in 1..{cap}, got {k}")
+    _check_level(k, cap)
     gf = _seed_graft()
     levels = []
     for level in range(1, k):
@@ -205,8 +211,7 @@ def check_equivalence(k: int, cap: int = EQUIV_CAP):
     level k, or None if the two builders disagree (a bug, not an input
     condition). cap bounds k here; each builder keeps its own cap, so a k
     above PAIR_CAP or GRAFT_CAP raises CapError before anything is built."""
-    if k < 1 or k > cap:
-        raise CapError(f"k must lie in 1..{cap}, got {k}")
+    _check_level(k, cap)
     a = graft_from_pair(burling_pair(k))
     b, _ = build_graft(k)
     return graft_isomorphic(a, b)

@@ -2,10 +2,11 @@
 rainbow-tip search that powers the chromatic lower bound.
 
 One backtracking search, `_search`, answers both exact questions: is
-there a proper c-coloring (the chromatic number counts c up from a lower
-bound), and is there one that keeps every tip's neighborhood under k
-colors (the rainbow bound). With c = n its first descent is greedy
-DSATUR, the cheap upper bound for graphs too big to search.
+there a proper c-coloring (the chromatic number counts c up from
+`_lower`, the lower bound `bounds_only` reports too), and is there one
+that keeps every tip's neighborhood under k colors (the rainbow bound).
+With c = n its first descent is greedy DSATUR, the cheap upper bound
+for graphs too big to search.
 """
 
 from __future__ import annotations
@@ -156,15 +157,20 @@ def _search(g: Graph, c: int, tips=(), k: int = 0) -> list[int] | None:
     return colors
 
 
+def _lower(g: Graph) -> int:
+    """A lower bound on chi: the greedy clique size, raised to 3 when g
+    is not bipartite (an odd cycle needs three colors)."""
+    c = len(_greedy_clique(g))
+    return 3 if c < 3 and not _is_bipartite(g) else c
+
+
 def chromatic_number(g: Graph, cap: int = CHROMA_CAP) -> ChromaticCertificate:
-    """Exact chi with a witness coloring: the first c from a lower bound
-    up that admits a proper c-coloring. That coloring uses exactly c
+    """Exact chi with a witness coloring: the first c from `_lower` up
+    that admits a proper c-coloring. That coloring uses exactly c
     colors, since c-1 failed or is below the bound."""
     if g.n > cap:
         raise CapError(f"exact solver capped at {cap} vertices, got {g.n}")
-    c = len(_greedy_clique(g))
-    if c < 3 and not _is_bipartite(g):
-        c = 3
+    c = _lower(g)
     while (colors := _search(g, c)) is None:
         c += 1
     return ChromaticCertificate(c, Coloring(colors), "exhaustive-search")
@@ -173,19 +179,14 @@ def chromatic_number(g: Graph, cap: int = CHROMA_CAP) -> ChromaticCertificate:
 def bounds_only(g: Graph) -> tuple[int, int]:
     """Cheap (lower, upper) chromatic bounds for any size of graph.
 
-    The upper bound is greedy DSATUR, run as `_search` with c = n: fewer
-    than n vertices are colored before each pick, so `used < c`, and the
-    color `used` is free (neighbors only hold colors below it). A free
-    color always exists and no tip cut applies, so the first descent never
-    backtracks and gives each vertex its lowest free color.
+    The lower bound is `_lower`. The upper bound is greedy DSATUR, run
+    as `_search` with c = n: fewer than n vertices are colored before
+    each pick, so `used < c`, and the color `used` is free (neighbors
+    only hold colors below it). A free color always exists and no tip
+    cut applies, so the first descent never backtracks and gives each
+    vertex its lowest free color. Both bound chi, so lower <= upper.
     """
-    if g.n == 0:
-        return 0, 0
-    if g.edge_count() == 0:
-        return 1, 1
-    lower = 2 if _is_bipartite(g) else 3
-    upper = max(_search(g, g.n)) + 1
-    return lower, max(lower, upper)
+    return _lower(g), max(_search(g, g.n), default=-1) + 1
 
 
 def find_non_rainbow_coloring(gf: Graft, k: int, c: int,

@@ -2,16 +2,17 @@
 
 Starting from the one-tip K2 seed, a seeded RNG picks legal pendent,
 clone, and join steps (join sides are grown to the right tip arity from
-their own K2 seeds), each applied through `ops.apply_op`. Every run is
-reproducible from its seed, and any failing sequence can be dumped as a
-script plus side-graft files that `load_sequence` reads back verbatim.
+their own K2 seeds), each applied through `ops.apply_op`. `run_sequence`
+certifies the graft after every step with `is_clean` and stops at the
+first that is not clean. Every run is reproducible from its seed, and
+any failing sequence can be dumped as a script plus side-graft files
+that `load_sequence` reads back verbatim.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from itertools import accumulate
 from dataclasses import dataclass, field
 
 from .build import _seed_graft
@@ -108,19 +109,17 @@ def generate_sequence(seed: int, length: int = 8,
     return FuzzSequence(seed=seed, ops=tuple(ops), sides=sides)
 
 
-def run_sequence(seq: FuzzSequence, budget=None,
-                 check_each: bool = True) -> FuzzResult:
-    """Apply the ops, certifying cleanness after each step, or with
-    check_each off only the final graft (the seed, step -1, if no ops)."""
-    last = len(seq.ops) - 1
-    states = accumulate(seq.ops, lambda gf, op: apply_op(gf, op, seq.sides)[0],
-                        initial=_seed_graft())
+def run_sequence(seq: FuzzSequence, budget=None) -> FuzzResult:
+    """Apply the ops, certifying cleanness after each step, and stop at
+    the first step that is not clean. The final graft of an empty
+    sequence is the seed, with no report."""
+    gf = _seed_graft()
     reports: list[CleanReport] = []
-    for i, gf in enumerate(states, -1):
-        if (i >= 0) if check_each else (i == last):
-            reports.append(is_clean(gf, budget=budget))
-            if not reports[-1].all_hold:
-                return FuzzResult(gf, reports, failed_at=i)
+    for i, op in enumerate(seq.ops):
+        gf, _ = apply_op(gf, op, seq.sides)
+        reports.append(is_clean(gf, budget=budget))
+        if not reports[-1].all_hold:
+            return FuzzResult(gf, reports, failed_at=i)
     return FuzzResult(gf, reports)
 
 

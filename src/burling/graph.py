@@ -16,20 +16,20 @@ from .errors import InvalidArgumentError, InvalidVertexError
 __all__ = ["Graph", "Graft"]
 
 
+@dataclass(frozen=True, slots=True)
 class Graph:
     """An immutable simple undirected graph.
 
     Construct via :meth:`from_edges` or :meth:`from_adj`; both validate
     symmetry and the absence of self-loops once, after which the value is
-    shared freely (all operations are pure).
+    shared freely (all operations are pure); it compares by (n, adj).
     """
-
-    __slots__ = ("n", "adj")
 
     n: int
     adj: tuple[int, ...]
 
-    def __init__(self, n: int, adj: Sequence[int]):
+    def __post_init__(self):
+        n, adj = self.n, self.adj
         if n < 0:
             raise InvalidArgumentError("vertex count must be non-negative")
         if len(adj) != n:
@@ -44,7 +44,6 @@ class Graph:
             for w in bits(row):
                 if not adj[w] >> v & 1:
                     raise InvalidArgumentError(f"asymmetric adjacency at {v},{w}")
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(adj))
 
     # Internal fast path for rows already known to be symmetric and loop-free.
@@ -72,15 +71,6 @@ class Graph:
     @classmethod
     def from_adj(cls, adj: Sequence[int]) -> "Graph":
         return cls(len(adj), adj)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("Graph is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count()})"

@@ -111,11 +111,9 @@ def graft_isomorphic(a: Graft, b: Graft):
     """Tip-preserving isomorphism a -> b as a vertex tuple, or None.
 
     perm[v] is the image of vertex v; tips map onto tips exactly.
+    Initial colors encode degree and tip membership, so `_search`
+    rejects grafts of different vertex, tip or edge counts at once.
     """
-    if a.n != b.n or len(a.tips) != len(b.tips):
-        return None
-    if a.graph.edge_count() != b.graph.edge_count():
-        return None
     intern: dict = {}
     c1 = _initial(a.graph, a.tips, intern)
     c2 = _initial(b.graph, b.tips, intern)

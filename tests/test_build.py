@@ -13,7 +13,7 @@ giving pair sizes 1, 3, 13, 181, 39733 and graft sizes 2, 5, 21, 309,
 import pytest
 
 from burling import (
-    Graph, Graft, CapError,
+    Graph, Graft, CapError, InvalidArgumentError,
     StablePair, next_pair, burling_pair, graft_from_pair,
     build_graft, replay_trace, check_equivalence,
     graft_isomorphic, graph_isomorphic, is_clean, find_triangle,
@@ -56,7 +56,6 @@ def test_stable_sets_actually_stable():
 
 
 def test_stable_pair_constructor_validates():
-    from burling import InvalidArgumentError
     g = Graph.from_edges(2, [(0, 1)])
     with pytest.raises(InvalidArgumentError):
         StablePair(g, (frozenset({0, 1}),))
@@ -153,12 +152,20 @@ def test_caps_enforced():
     with pytest.raises(CapError):
         burling_pair(6)
     with pytest.raises(CapError):
-        build_graft(0)
+        build_graft(6)
     with pytest.raises(CapError):
         check_equivalence(4)
     # explicit cap raises the ceiling
     gf, _ = build_graft(4, cap=4)
     assert gf.n == 309
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_levels_below_one_rejected(k):
+    # bad input, not an exceeded cap
+    for entry in (burling_pair, build_graft, check_equivalence):
+        with pytest.raises(InvalidArgumentError):
+            entry(k)
 
 
 def test_small_grafts_certified_clean():

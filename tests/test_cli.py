@@ -181,6 +181,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                 str(tmp_path / "t")]) == 2
     assert run(["generate", "--mode", "graft", "--k", "3",
                 "--out", str(tmp_path / "y"), "--cap", "6"]) == 2
+    assert run(["generate", "--mode", "graft", "--k", "0",
+                "--out", str(tmp_path / "y")]) == 2
     assert not (tmp_path / "y").exists()
     bad = tmp_path / "bad.graph"
     bad.write_text("{broken")

@@ -78,12 +78,17 @@ def test_cap_enforced():
 
 
 def test_bounds_bracket_chi():
+    # dense enough for triangles, and for a K4 in some, where the clique
+    # part of the lower bound shows
     rng = random.Random(67)
+    lows = set()
     for _ in range(60):
-        g = make_random_graph(rng, rng.randint(0, 9))
+        g = make_random_graph(rng, rng.randint(0, 9), p=rng.uniform(0.3, 0.9))
         lo, hi = bounds_only(g)
         chi = chromatic_number(g).chi
         assert lo <= chi <= hi
+        lows.add(lo)
+    assert max(lows) >= 4
 
 
 def test_bounds_classify_easy_cases(c5):
@@ -93,6 +98,13 @@ def test_bounds_classify_easy_cases(c5):
     assert bounds_only(bip) == (2, 2)
     lo, hi = bounds_only(c5)
     assert lo == 3 and hi >= 3
+    # the lower bound is the clique size: K4, K5, and K4 beside a C5
+    k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    c5_beside = [(4 + i, 4 + (i + 1) % 5) for i in range(5)]
+    assert bounds_only(Graph.from_edges(4, k4)) == (4, 4)
+    assert bounds_only(Graph.from_edges(5, k5)) == (5, 5)
+    assert bounds_only(Graph.from_edges(9, k4 + c5_beside)) == (4, 4)
 
 
 def test_bounds_scale_to_big_inputs():

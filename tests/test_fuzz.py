@@ -45,8 +45,7 @@ def test_join_ops_are_exercised():
 def test_vertex_cap_respected():
     for seed in range(20):
         seq = generate_sequence(seed, 30, max_vertices=25)
-        res = run_sequence(seq, check_each=False)
-        assert res.final.n <= 25
+        assert run_sequence(seq).final.n <= 25
 
 
 def test_script_round_trip_replays(tmp_path):
@@ -59,10 +58,10 @@ def test_script_round_trip_replays(tmp_path):
     path = dump_failure(seq, str(tmp_path))
     replayed = load_sequence(path, seq.seed)
     assert len(replayed.ops) == len(seq.ops)
-    a = run_sequence(seq, check_each=False)
-    b = run_sequence(replayed, check_each=False)
-    assert a.final.graph == b.final.graph
-    assert a.final.tips == b.final.tips
+    a = run_sequence(seq).final
+    b = run_sequence(replayed).final
+    assert a.graph == b.graph
+    assert a.tips == b.tips
 
 
 def test_hand_built_sequences_run():
@@ -92,16 +91,12 @@ def test_is_clean_called_once_per_step(monkeypatch):
     seq = generate_sequence(3, 8)
     run_sequence(seq)
     assert len(calls) == len(seq.ops)
-    calls.clear()
-    run_sequence(seq, check_each=False)
-    assert len(calls) == 1
 
 
 def test_empty_sequence_reports():
-    seq = FuzzSequence(seed=0, ops=())
-    assert run_sequence(seq).reports == []
-    res = run_sequence(seq, check_each=False)
-    assert len(res.reports) == 1 and res.ok and res.final.n == 2
+    res = run_sequence(FuzzSequence(seed=0, ops=()))
+    assert res.reports == []
+    assert res.ok and res.final.n == 2
 
 
 def test_unknown_op_rejected():

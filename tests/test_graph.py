@@ -79,6 +79,15 @@ def test_graphs_hash_and_compare_by_value():
     assert g1 == g2
     assert hash(g1) == hash(g2)
     assert g1 != Graph.from_edges(3, [(0, 2)])
+    # rows given directly make the same value, which cannot be changed
+    g = Graph(3, [2, 5, 2])
+    h = Graph.from_edges(3, [(0, 1), (1, 2)])
+    assert g == h
+    assert hash(g) == hash(h)
+    with pytest.raises(AttributeError):
+        g.n = 4
+    with pytest.raises(InvalidArgumentError):
+        Graph(3, [2, 0, 0])  # 0 sees 1, but 1 does not see 0
 
 
 def test_graft_requires_valid_tips():

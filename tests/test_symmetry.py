@@ -121,8 +121,7 @@ def gate_grafts():
         out.append(Graft(g, frozenset(
             rng.sample(range(g.n), rng.randint(0, g.n)))))
     for seed in range(300):
-        gf = run_sequence(generate_sequence(seed, 8, 30),
-                          check_each=False).final
+        gf = run_sequence(generate_sequence(seed, 8, 30)).final
         u, v = rng.sample(range(gf.n), 2)
         adj = list(gf.graph.adj)
         adj[u] |= 1 << v
