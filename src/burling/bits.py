@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -12,9 +12,14 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of ``mask`` in increasing order."""
+def bits(mask: int) -> list[int]:
+    """The set bit positions of ``mask`` in increasing order. Clearing
+    the highest bit shrinks the int at each step; clearing the lowest
+    would rewrite the full width (and negate it) for every bit."""
+    out = []
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        b = mask.bit_length() - 1
+        out.append(b)
+        mask ^= 1 << b
+    out.reverse()
+    return out

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bits import mask_of
 from .graph import Graph, Graft
 from .ops import OpRecord, apply_op, join
 from .iso import graft_isomorphic
@@ -51,25 +52,28 @@ def next_pair(p: StablePair) -> StablePair:
     for (stable i, stable j) sits at n*(m+1) + i*m + j. Each (i, j)
     contributes two output stables: stables[i] union the copy of
     stables[j] inside copy i, and stables[i] union the (i, j) connector.
+    Edges: the input graph's, each copy's, and connector (i, j) to the
+    copy of stables[j] in copy i. Rows are whole masks shifted into
+    place: copy i's vertex t gets adj[t] and member[t] (the j with t in
+    stables[j]) on its connectors; connector (i, j) gets stables[j].
     """
     if not p.stables:
         raise InvalidArgumentError("pair must carry at least one stable set")
     g = p.graph
     n = g.n
     m = len(p.stables)
-    base_edges = g.edges()
-    edges = list(base_edges)
-    for i in range(m):
-        off = n + i * n
-        edges.extend((off + u, off + v) for u, v in base_edges)
     conn0 = n * (m + 1)
+    member = [0] * n
+    for j, s in enumerate(p.stables):
+        for t in s:
+            member[t] |= 1 << j
+    rows = list(g.adj)
     for i in range(m):
-        off = n + i * n
-        for j, t_set in enumerate(p.stables):
-            v_ij = conn0 + i * m + j
-            edges.extend((min(off + t, v_ij), max(off + t, v_ij))
-                         for t in sorted(t_set))
-    out = Graph.from_edges(conn0 + m * m, edges)
+        off, con = n + i * n, conn0 + i * m
+        rows += [a << off | b << con for a, b in zip(g.adj, member)]
+    masks = [mask_of(s) for s in p.stables]
+    rows += [s << n + i * n for i in range(m) for s in masks]
+    out = Graph._raw(conn0 + m * m, rows)
     stables = []
     for i, s in enumerate(p.stables):
         off = n + i * n

@@ -12,6 +12,7 @@ for graphs too big to search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .bits import bits
 from .graph import Graph, Graft
@@ -105,6 +106,15 @@ def _search(g: Graph, c: int, tips=(), k: int = 0) -> list[int] | None:
     and neither cut fires on it: both cuts (a neighbor holds the color; a
     tip reaches k neighbor colors) only grow down a branch, and F has
     neither. So that branch reaches a leaf; None means none exists.
+
+    The pick pops a heap of keys (-sat, -deg, v), sat the count of
+    neighbor colors, instead of scanning every vertex. An entry is live
+    if its vertex is uncolored and its sat current; stale ones are
+    skipped. Every uncolored vertex but the one being tried has a live
+    entry, pushed when its sat changes while uncolored or when it fails
+    every color. So the first live entry popped holds the least current
+    key, and as keys end in v, that is the vertex the max rule picks.
+    Past 4n + 64 entries the heap is rebuilt from the uncolored vertices.
     """
     n = g.n
     adj = g.adj
@@ -120,11 +130,22 @@ def _search(g: Graph, c: int, tips=(), k: int = 0) -> list[int] | None:
     # recursion limit. One frame per colored vertex: (v, its color, used
     # before it, the neighbors and tips that gained the color).
     trail: list[tuple] = []
+    deg = [row.bit_count() for row in adj]
+
+    def key(u):
+        return -seen[u].bit_count(), -deg[u], u
+
+    heap = [key(u) for u in range(n)]
+    heapify(heap)
     v, start, used = -1, 0, 0
     while len(trail) < n:
         if v < 0:
-            v = max((u for u in range(n) if colors[u] < 0),
-                    key=lambda u: (seen[u].bit_count(), adj[u].bit_count(), -u))
+            if len(heap) > 4 * n + 64:
+                heap = [key(u) for u in range(n) if colors[u] < 0]
+                heapify(heap)
+            sat, _, v = heappop(heap)
+            while colors[v] >= 0 or -sat != seen[v].bit_count():
+                sat, _, v = heappop(heap)
             start = 0
         for col in range(start, min(used + 1, c)):
             bit = 1 << col
@@ -137,6 +158,8 @@ def _search(g: Graph, c: int, tips=(), k: int = 0) -> list[int] | None:
             colors[v] = col
             for u in touched:
                 seen[u] |= bit
+                if colors[u] < 0:
+                    heappush(heap, key(u))
             for i in gain:
                 tip_seen[i] |= bit
             trail.append((v, col, used, touched, gain))
@@ -146,11 +169,14 @@ def _search(g: Graph, c: int, tips=(), k: int = 0) -> list[int] | None:
         else:
             if not trail:
                 return None
+            heappush(heap, key(v))
             v, col, used, touched, gain = trail.pop()
             bit = 1 << col
             colors[v] = -1
             for u in touched:
                 seen[u] ^= bit
+                if colors[u] < 0:
+                    heappush(heap, key(u))
             for i in gain:
                 tip_seen[i] ^= bit
             start = col + 1

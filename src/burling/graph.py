@@ -103,12 +103,11 @@ class Graph:
         return frozenset(bits(self.adj[v]))
 
     def edges(self) -> list[tuple[int, int]]:
-        """All edges as (u, v) pairs with u < v, lexicographically sorted."""
+        """All edges as (u, v) pairs with u < v, lexicographically sorted;
+        row u shifted past u holds just the neighbours above u."""
         out = []
-        for u in range(self.n):
-            upper = self.adj[u] >> (u + 1) << (u + 1)
-            for v in bits(upper):
-                out.append((u, v))
+        for u, row in enumerate(self.adj):
+            out += [(u, u + 1 + d) for d in bits(row >> u + 1)]
         return out
 
     def edge_count(self) -> int:
@@ -116,11 +115,9 @@ class Graph:
 
     def is_stable_set(self, vertices: Iterable[int]) -> bool:
         """True iff no edge has both endpoints in ``vertices``."""
-        m = self.vertex_mask(vertices)
-        for v in bits(m):
-            if self.adj[v] & m:
-                return False
-        return True
+        vs = list(vertices)
+        m = self.vertex_mask(vs)
+        return not any(self.adj[v] & m for v in vs)
 
     def is_induced_path(self, seq: Sequence[int]) -> bool:
         """True iff ``seq`` orders an induced path: consecutive vertices
@@ -144,7 +141,7 @@ class Graph:
         relabel map old-id -> new-id (0..|vertices|-1).
         """
         m = self.vertex_mask(vertices)
-        kept = list(bits(m))
+        kept = bits(m)
         relabel = {v: i for i, v in enumerate(kept)}
         rows = []
         for v in kept:

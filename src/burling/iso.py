@@ -32,7 +32,7 @@ def _refine(gs: tuple[Graph, ...], cs: list[list[int]], budget=None):
         if budget is not None:
             budget.spend(sum(g.n for g in gs))
         if nbrs is None:
-            nbrs = [[list(bits(row)) for row in g.adj] for g in gs]
+            nbrs = [[bits(row) for row in g.adj] for g in gs]
         intern: dict = {}
         cs = [[intern.setdefault(
                   (c[v], tuple(sorted(map(c.__getitem__, nb)))),

@@ -218,7 +218,7 @@ def _first_witnesses(g: Graph, tips, kinds, k: int) -> dict:
     for mask in range(1, 1 << g.n):
         if mask.bit_count() < 3:
             continue
-        vs = list(bits(mask))
+        vs = bits(mask)
         degs = [(adj[v] & mask).bit_count() for v in vs]
         for kd in kinds:
             if found[kd] is None:

@@ -175,9 +175,9 @@ def _paths(g: Graph, head: list[int], roots: int, interior: int, close: int,
         while front:
             grow = 0
             while front:
-                u = front & -front
-                front ^= u
-                grow |= adj[u.bit_length() - 1]
+                u = front.bit_length() - 1
+                front ^= 1 << u
+                grow |= adj[u]
             front = grow & ~(banned | seen)
             seen |= front
             if (close & seen & ~banned

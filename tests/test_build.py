@@ -17,21 +17,23 @@ from burling import (
     StablePair, next_pair, burling_pair, graft_from_pair,
     build_graft, replay_trace, check_equivalence,
     graft_isomorphic, graph_isomorphic, is_clean, find_triangle,
+    bounds_only,
 )
 
-PAIR_SIZES = {1: (1, 1), 2: (3, 2), 3: (13, 8), 4: (181, 128)}
+PAIR_SIZES = {1: (1, 1), 2: (3, 2), 3: (13, 8), 4: (181, 128),
+              5: (39733, 32768)}
 GRAFT_SIZES = {1: (2, 1), 2: (5, 2), 3: (21, 8), 4: (309, 128)}
 EDGE_COUNTS = {2: 5, 3: 39, 4: 1059}
-PAIR_EDGES = {2: 1, 3: 11, 4: 323}
+PAIR_EDGES = {2: 1, 3: 11, 4: 323, 5: 135875}
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
 def test_pair_sizes(k):
     p = burling_pair(k)
     assert (p.graph.n, len(p.stables)) == PAIR_SIZES[k]
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_pair_edge_counts(k):
     assert burling_pair(k).graph.edge_count() == PAIR_EDGES[k]
 
@@ -67,6 +69,35 @@ def test_next_pair_size_step():
     n, s = p.graph.n, len(p.stables)
     assert q.graph.n == n + s * n + s * s
     assert len(q.stables) == 2 * s * s
+
+
+def documented_next_pair(p: StablePair) -> StablePair:
+    """next_pair read off its docstring: the edge list of the input
+    graph, of each copy, and of each connector, through from_edges."""
+    g, n, m = p.graph, p.graph.n, len(p.stables)
+    conn0 = n * (m + 1)
+    edges = list(g.edges())
+    stables = []
+    for i, s in enumerate(p.stables):
+        off = n + i * n
+        edges += [(off + u, off + v) for u, v in g.edges()]
+        for j, t_set in enumerate(p.stables):
+            edges += [(off + t, conn0 + i * m + j) for t in t_set]
+            stables.append(s | {off + t for t in t_set})
+            stables.append(s | {conn0 + i * m + j})
+    return StablePair(Graph.from_edges(conn0 + m * m, edges), tuple(stables))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_next_pair_matches_documented_layout(k):
+    p = burling_pair(k - 1)
+    got, want = next_pair(p), documented_next_pair(p)
+    assert got.graph == want.graph
+    assert got.stables == want.stables
+
+
+def test_pair5_bounds():
+    assert bounds_only(burling_pair(5).graph) == (3, 5)
 
 
 def test_pairs_are_triangle_free():

@@ -10,6 +10,8 @@ from burling import (
     Coloring, is_proper, chromatic_number, bounds_only,
     find_non_rainbow_coloring, build_graft, burling_pair,
 )
+from burling.bits import bits
+from burling.coloring import _search
 
 from conftest import make_random_graph
 
@@ -204,3 +206,87 @@ def test_chi_values_for_small_levels():
     assert chromatic_number(g2.graph).chi == 3
     assert chromatic_number(g3.graph).chi == 4
     assert chromatic_number(burling_pair(3).graph).chi == 3
+
+
+def linear_pick_search(g: Graph, c: int, tips=(), k: int = 0):
+    """`_search` as it was with the DSATUR pick made by scanning every
+    uncolored vertex with max(): the reference for the heap pick."""
+    n, adj = g.n, g.adj
+    colors = [-1] * n
+    seen = [0] * n
+    watchers = [[] for _ in range(n)]
+    if k:
+        for i, t in enumerate(tips):
+            for v in bits(adj[t]):
+                watchers[v].append(i)
+    tip_seen = [0] * len(tips)
+    trail = []
+    v, start, used = -1, 0, 0
+    while len(trail) < n:
+        if v < 0:
+            v = max((u for u in range(n) if colors[u] < 0),
+                    key=lambda u: (seen[u].bit_count(), adj[u].bit_count(), -u))
+            start = 0
+        for col in range(start, min(used + 1, c)):
+            bit = 1 << col
+            if seen[v] & bit:
+                continue
+            gain = [i for i in watchers[v] if not tip_seen[i] & bit]
+            if any(tip_seen[i].bit_count() + 1 >= k for i in gain):
+                continue
+            touched = [u for u in bits(adj[v]) if not seen[u] & bit]
+            colors[v] = col
+            for u in touched:
+                seen[u] |= bit
+            for i in gain:
+                tip_seen[i] |= bit
+            trail.append((v, col, used, touched, gain))
+            used = max(used, col + 1)
+            v = -1
+            break
+        else:
+            if not trail:
+                return None
+            v, col, used, touched, gain = trail.pop()
+            bit = 1 << col
+            colors[v] = -1
+            for u in touched:
+                seen[u] ^= bit
+            for i in gain:
+                tip_seen[i] ^= bit
+            start = col + 1
+    return colors
+
+
+def test_heap_pick_matches_linear_pick():
+    # Same colorings, not only the same yes/no: the heap must pick the
+    # vertex the max() rule picks at every step, backtracking included.
+    # Sparse graphs with a few tips and k = 2 fail vertices on the tip
+    # cut that the last colored vertex does not touch, and grow the heap
+    # past its rebuild size, as does the rainbow search on g3 (it
+    # rebuilds the heap dozens of times before it answers None).
+    rng = random.Random(97)
+    g3 = build_graft(3)[0]
+    cases = [(BACKTRACK.graph, 3, sorted(BACKTRACK.tips), 3),
+             (BACKTRACK.graph, 3, (), 0),
+             (g3.graph, 4, sorted(g3.tips), 3),
+             (g3.graph, 5, sorted(g3.tips), 3)]
+    for i in range(3000):
+        n = rng.randint(0, 12)
+        if i % 2:
+            g = make_random_graph(rng, n, rng.uniform(0.05, 0.4))
+            tips = sorted(rng.sample(range(n), min(n, rng.randint(1, 3))))
+            cases.append((g, rng.randint(2, 5), tips, 2))
+        else:
+            g = make_random_graph(rng, n, rng.uniform(0.1, 0.9))
+            tips = sorted(rng.sample(range(n), rng.randint(0, n)))
+            cases.append((g, rng.randint(1, max(1, n)), tips,
+                          rng.randint(0, 5)))
+    found = 0
+    for g, c, tips, k in cases:
+        got = _search(g, c, tips, k)
+        assert got == linear_pick_search(g, c, tips, k)
+        found += got is not None
+    assert 0 < found < len(cases)
+    g4 = build_graft(4)[0].graph
+    assert _search(g4, g4.n) == linear_pick_search(g4, g4.n)

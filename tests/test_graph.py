@@ -1,10 +1,13 @@
 """Core graph type: construction, immutability, subgraphs."""
 
+import random
+
 import pytest
 
 from burling import (
     Graph, Graft, StablePair, InvalidArgumentError, InvalidVertexError,
 )
+from burling.bits import bits
 
 
 def test_from_edges_basic():
@@ -45,6 +48,31 @@ def test_stable_set_check():
     assert g.is_stable_set({1, 2})
     assert not g.is_stable_set({0, 1})
     assert g.is_stable_set(set())
+    assert g.is_stable_set(iter([0, 2]))
+    assert not g.is_stable_set(iter([3, 0, 2]))
+    assert g.is_stable_set([1, 2, 1, 2])
+    assert not g.is_stable_set([2, 3, 3])
+    with pytest.raises(InvalidVertexError):
+        g.is_stable_set(iter([0, 2, 4]))
+
+
+def test_bits_on_wide_masks():
+    rng = random.Random(3)
+    masks = [0, 1, 1 << 17, (1 << 17) - 1]
+    for width in (1, 64, 1000, 1 << 17):
+        masks.append(rng.getrandbits(width))
+        masks.append(sum(1 << rng.randrange(width) for _ in range(20)))  # sparse
+    for m in masks:
+        assert bits(m) == [i for i in range(m.bit_length()) if m >> i & 1]
+
+
+def test_edges_on_wide_graphs():
+    rng = random.Random(5)
+    for n in (0, 1, 2, 30, 200, 3000):
+        edges = [(rng.randrange(n), rng.randrange(n)) for _ in range(4 * n)]
+        g = Graph.from_edges(n, [(u, v) for u, v in edges if u != v])
+        assert g.edges() == [(u, v) for u in range(n)
+                             for v in range(u + 1, n) if g.adj[u] >> v & 1]
 
 
 def test_induced_path_check():
