@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .bits import mask_of
 from .graph import Graph, Graft
-from .ops import OpRecord, apply_op, join
+from .ops import OpRecord, apply_op, _freeze, _thaw
 from .iso import graft_isomorphic
 from .errors import CapError, InvalidArgumentError
 
@@ -144,34 +144,30 @@ def _seed_graft() -> Graft:
     return Graft(Graph.from_edges(2, [(0, 1)]), frozenset({1}))
 
 
-def _level(gk: Graft, level: int, template_ops, host_ops,
-           joins) -> tuple[Graft, LevelTrace]:
-    """One graft level: the template ops run on a copy of gk and the host
-    ops on gk, then the template is joined onto the host at each (x,
-    pairing) in turn. The trace, provenance included, is read off the
-    records; the tip u of ("copy", u, w) is the least vertex of x."""
-    tpl, host = gk, gk
-    tpl_records, host_records, join_records = [], [], []
-    for op in template_ops:
-        tpl, rec = apply_op(tpl, op)
-        tpl_records.append(rec)
-    for op in host_ops:
-        host, rec = apply_op(host, op)
-        host_records.append(rec)
+def _level(gk: Graft, level: int, template_ops, host_ops) -> tuple[Graft, LevelTrace]:
+    """One graft level. The template ops run on one copy of gk, frozen
+    once as the side graft "template"; the host ops, clones and then each
+    ("join", x, "template"), run on a second copy, frozen once. The trace
+    is read off the records; u in ("copy", u, w) is the least of x."""
+    adj, tips = _thaw(gk)
+    tpl_records = [apply_op(adj, tips, op) for op in template_ops]
+    tpl = _freeze(adj, tips)
+    adj, tips = _thaw(gk)
+    records = [apply_op(adj, tips, op, {"template": tpl}) for op in host_ops]
     clone_of = {rec.created[0]: rec.target
                 for rec in tpl_records if rec.op == "clone"}
-    provenance: list[tuple] = [("base", v) for v in range(gk.n)]
-    provenance += [("clone-of", rec.target) for rec in host_records]
     embedded = [w for w in range(tpl.n) if w not in tpl.tips]
-    for x, pairing in joins:
-        host, rec = join(host, x, tpl, pairing=pairing)
-        join_records.append(rec)
+    clones = tuple(rec for rec in records if rec.op != "join")
+    joins = tuple(rec for rec in records if rec.op == "join")
+    provenance: list[tuple] = [("base", v) for v in range(gk.n)]
+    provenance += [("clone-of", rec.target) for rec in clones]
+    for rec in joins:
         provenance += [("clone-of", rec.identified[clone_of[w]])
                        if w in clone_of else ("copy", rec.x[0], w)
                        for w in embedded]
-    trace = LevelTrace(level, tuple(tpl_records), tuple(host_records),
-                       tuple(join_records), tuple(provenance))
-    return host, trace
+    trace = LevelTrace(level, tuple(tpl_records), clones, joins,
+                       tuple(provenance))
+    return _freeze(adj, tips), trace
 
 
 def build_graft(k: int, cap: int = GRAFT_CAP) -> tuple[Graft, ConstructionTrace]:
@@ -191,22 +187,23 @@ def build_graft(k: int, cap: int = GRAFT_CAP) -> tuple[Graft, ConstructionTrace]
         template = ([("clone", v) for v in tips]
                     + [("pendent", n + i) for i in range(len(tips))])
         host = [("clone", u) for u in tips for _ in range(step)]
-        joins = [([u, *range(n + i * step, n + (i + 1) * step)], None)
-                 for i, u in enumerate(tips)]
-        gf, trace = _level(gf, level, template, host, joins)
+        host += [("join", (u, *range(n + i * step, n + (i + 1) * step)),
+                  "template") for i, u in enumerate(tips)]
+        gf, trace = _level(gf, level, template, host)
         levels.append(trace)
     return gf, ConstructionTrace(k, tuple(levels))
 
 
 def replay_trace(trace: ConstructionTrace) -> Graft:
-    """Re-execute the recorded operations; must rebuild bit-exactly."""
+    """Re-execute the recorded operations; must rebuild bit-exactly. Joins
+    replay with the default pairing, the only one build_graft records."""
     gf = _seed_graft()
     for lv in trace.levels:
         gf, _ = _level(
             gf, lv.level,
             [(rec.op, rec.target) for rec in lv.template_records],
-            [(rec.op, rec.target) for rec in lv.host_records],
-            [(rec.x, rec.identified) for rec in lv.join_records])
+            [(rec.op, rec.target) for rec in lv.host_records]
+            + [("join", rec.x, "template") for rec in lv.join_records])
     return gf
 
 

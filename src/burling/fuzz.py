@@ -2,11 +2,12 @@
 
 Starting from the one-tip K2 seed, a seeded RNG picks legal pendent,
 clone, and join steps (join sides are grown to the right tip arity from
-their own K2 seeds), each applied through `ops.apply_op`. `run_sequence`
-certifies the graft after every step with `is_clean` and stops at the
-first that is not clean. Every run is reproducible from its seed, and
-any failing sequence can be dumped as a script plus side-graft files
-that `load_sequence` reads back verbatim.
+their own K2 seeds), each stepped in place on one row list and tip set
+by `ops.apply_op`. `run_sequence` freezes and certifies the graft after
+every step with `is_clean` and stops at the first that is not clean.
+Every run is reproducible from its seed, and any failing sequence can be
+dumped as a script plus side-graft files that `load_sequence` reads back
+verbatim.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from .build import _seed_graft
 from .graph import Graft
 from .io import dump_graft, format_script, load_graft, parse_script
-from .ops import apply_op, clone, pendent
+from .ops import _freeze, _thaw, apply_op
 from .patterns import CleanReport, is_clean
 from .errors import FormatError, InvalidArgumentError
 
@@ -58,19 +59,19 @@ class FuzzResult:
 
 
 def _grow_side(rng: random.Random, arity: int) -> Graft:
-    gf = _seed_graft()
-    while len(gf.tips) < arity:
-        gf, _ = clone(gf, rng.choice(sorted(gf.tips)))
+    adj, tips = _thaw(_seed_graft())
+    while len(tips) < arity:
+        apply_op(adj, tips, ("clone", rng.choice(sorted(tips))))
     for _ in range(rng.randint(0, 2)):
-        gf, _ = pendent(gf, rng.choice(sorted(gf.tips)))
-    return gf
+        apply_op(adj, tips, ("pendent", rng.choice(sorted(tips))))
+    return _freeze(adj, tips)
 
 
-def _pick_join(rng: random.Random, gf: Graft, room: int):
+def _pick_join(rng: random.Random, adj: list[int], tips: set[int], room: int):
     # group tips by adjacency row; homogeneous targets come from one group
     groups: dict[int, list[int]] = {}
-    for t in sorted(gf.tips):
-        groups.setdefault(gf.graph.adj[t], []).append(t)
+    for t in sorted(tips):
+        groups.setdefault(adj[t], []).append(t)
     pools = list(groups.values())
     grp = pools[rng.randrange(len(pools))]
     size = rng.randint(1, min(3, len(grp)))
@@ -87,13 +88,13 @@ def generate_sequence(seed: int, length: int = 8,
     if length < 1:
         raise InvalidArgumentError("length must be positive")
     rng = random.Random(seed)
-    gf = _seed_graft()
+    adj, tips = _thaw(_seed_graft())
     ops = []
     sides: dict[str, Graft] = {}
     for _ in range(length):
         kind = rng.choice(("pendent", "clone", "clone", "join"))
         if kind == "join":
-            picked = _pick_join(rng, gf, max_vertices - gf.n)
+            picked = _pick_join(rng, adj, tips, max_vertices - len(adj))
             if picked is None:
                 kind = "clone"
         if kind == "join":
@@ -101,26 +102,27 @@ def generate_sequence(seed: int, length: int = 8,
             name = f"side{len(sides)}.graph"
             sides[name] = side
             ops.append(("join", xs, name))
-        elif gf.n + 1 > max_vertices:
+        elif len(adj) + 1 > max_vertices:
             break
         else:
-            ops.append((kind, rng.choice(sorted(gf.tips))))
-        gf, _ = apply_op(gf, ops[-1], sides)
+            ops.append((kind, rng.choice(sorted(tips))))
+        apply_op(adj, tips, ops[-1], sides)
     return FuzzSequence(seed=seed, ops=tuple(ops), sides=sides)
 
 
 def run_sequence(seq: FuzzSequence, budget=None) -> FuzzResult:
-    """Apply the ops, certifying cleanness after each step, and stop at
-    the first step that is not clean. The final graft of an empty
-    sequence is the seed, with no report."""
-    gf = _seed_graft()
+    """Apply the ops in place, freezing and certifying the graft after
+    each step, and stop at the first step that is not clean. The final
+    graft of an empty sequence is the seed, with no report."""
+    adj, tips = _thaw(_seed_graft())
     reports: list[CleanReport] = []
     for i, op in enumerate(seq.ops):
-        gf, _ = apply_op(gf, op, seq.sides)
+        apply_op(adj, tips, op, seq.sides)
+        gf = _freeze(adj, tips)
         reports.append(is_clean(gf, budget=budget))
         if not reports[-1].all_hold:
             return FuzzResult(gf, reports, failed_at=i)
-    return FuzzResult(gf, reports)
+    return FuzzResult(_freeze(adj, tips), reports)
 
 
 def dump_failure(seq: FuzzSequence, dirpath: str) -> str:

@@ -10,6 +10,8 @@ giving pair sizes 1, 3, 13, 181, 39733 and graft sizes 2, 5, 21, 309,
 72501 for k = 1..5.
 """
 
+import hashlib
+
 import pytest
 
 from burling import (
@@ -19,11 +21,13 @@ from burling import (
     graft_isomorphic, graph_isomorphic, is_clean, find_triangle,
     bounds_only,
 )
+from burling.io import graph_to_json, trace_to_json
 
 PAIR_SIZES = {1: (1, 1), 2: (3, 2), 3: (13, 8), 4: (181, 128),
               5: (39733, 32768)}
-GRAFT_SIZES = {1: (2, 1), 2: (5, 2), 3: (21, 8), 4: (309, 128)}
-EDGE_COUNTS = {2: 5, 3: 39, 4: 1059}
+GRAFT_SIZES = {1: (2, 1), 2: (5, 2), 3: (21, 8), 4: (309, 128),
+               5: (72501, 32768)}
+EDGE_COUNTS = {2: 5, 3: 39, 4: 1059, 5: 434883}
 PAIR_EDGES = {2: 1, 3: 11, 4: 323, 5: 135875}
 
 
@@ -48,6 +52,29 @@ def test_graft_sizes(k):
 def test_graft_edge_counts(k):
     gf, _ = build_graft(k)
     assert gf.graph.edge_count() == EDGE_COUNTS[k]
+
+
+@pytest.fixture(scope="module")
+def graft5():
+    return build_graft(5)
+
+
+def test_graft5_sizes(graft5):
+    gf, _ = graft5
+    assert (gf.n, len(gf.tips)) == GRAFT_SIZES[5]
+    assert gf.graph.edge_count() == EDGE_COUNTS[5]
+
+
+def test_graft5_pinned(graft5):
+    # sha256 of `burling generate --mode graft --k 5 --trace` output,
+    # frozen so a faster builder must rebuild level 5 byte for byte
+    gf, trace = graft5
+    text = graph_to_json(gf.graph, gf.tips, name="graft-5")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "c1ad80d1227b0f0507f2b21eef1df54085b251f4381610bd6ff83876f126d97e")
+    assert hashlib.sha256(trace_to_json(trace).encode()).hexdigest() == (
+        "9aa85e97a3dcaa10038df818b88e8c25c6b11e4d44163c6cc511bfbe603a0ff1")
+    assert replay_trace(trace) == gf
 
 
 def test_stable_sets_actually_stable():

@@ -150,6 +150,13 @@ def test_fuzz_script_replay(tmp_path, capsys):
     assert out.startswith("ok steps=3")
 
 
+def test_fuzz_script_out_of_range_target(tmp_path, capsys):
+    script = tmp_path / "seq.ops"
+    script.write_text("clone 1\npendent -1\n")
+    assert run(["fuzz", "--script", str(script)]) == 2
+    assert "vertex -1 out of range" in capsys.readouterr().err
+
+
 def test_script_side_graft_must_stay_in_script_dir(tmp_path, capsys):
     side = graph_to_json(Graph.from_edges(2, [(0, 1)]), frozenset({1}))
     scripts = tmp_path / "scripts"

@@ -4,8 +4,10 @@ import pytest
 
 from burling import (
     Graph, Graft, pendent, clone, join,
-    TipViolationError, ArityError, HomogeneityError, InvalidArgumentError,
+    BurlingError, TipViolationError, ArityError, HomogeneityError,
+    InvalidVertexError,
 )
+from burling.ops import apply_op
 
 
 def seed() -> Graft:
@@ -75,23 +77,15 @@ def test_join_checks_tip_status_per_vertex():
         join(host_two_tips(), [0, 1], side_pair())
 
 
-def test_join_checks_homogeneity():
+def mixed_host() -> Graft:
     # tips 2 and 3 have different neighborhoods
     g = Graph.from_edges(4, [(0, 2), (0, 3), (1, 3)])
-    host = Graft(g, frozenset({2, 3}))
+    return Graft(g, frozenset({2, 3}))
+
+
+def test_join_checks_homogeneity():
     with pytest.raises(HomogeneityError):
-        join(host, [2, 3], side_pair())
-
-
-def test_join_explicit_pairing_validated():
-    host = host_two_tips()
-    alt, _ = join(host, [1, 2], side_pair(), pairing={1: 2, 2: 1})
-    dflt, _ = join(host, [1, 2], side_pair())
-    assert alt.graph == dflt.graph  # symmetric side, same result here
-    with pytest.raises(InvalidArgumentError):
-        join(host, [1, 2], side_pair(), pairing={1: 1, 0: 2})
-    with pytest.raises(InvalidArgumentError):
-        join(host, [1, 2], side_pair(), pairing={1: 1, 2: 5})
+        join(mixed_host(), [2, 3], side_pair())
 
 
 def test_join_keeps_host_tips_only():
@@ -110,3 +104,36 @@ def test_ops_do_not_mutate_inputs():
     pendent(base, 1)
     clone(base, 1)
     assert base.n == 2 and base.tips == {1}
+    # compared with fresh copies, so a shared row store would show
+    host, side, bad = host_two_tips(), side_pair(), mixed_host()
+    join(host, [1, 2], side)
+    with pytest.raises(HomogeneityError):
+        join(bad, [2, 3], side)
+    for got, want in ((host, host_two_tips()), (side, side_pair()),
+                      (bad, mixed_host())):
+        assert list(got.graph.adj) == list(want.graph.adj)
+        assert got.tips == want.tips
+
+
+@pytest.mark.parametrize("op", [
+    ("pendent", 0), ("clone", 5), ("pendent", -1),
+    ("join", (1, 2), "side"), ("join", (2, 3), "side"),
+    ("join", (3,), "side"), ("join", (2,), "missing"), ("swap", 2),
+])
+def test_failed_step_writes_nothing(op):
+    # every step runs all of its checks before its first write
+    adj, tips = list(mixed_host().graph.adj), set(mixed_host().tips)
+    with pytest.raises(BurlingError):
+        apply_op(adj, tips, op, {"side": side_pair()})
+    assert adj == list(mixed_host().graph.adj) and tips == {2, 3}
+
+
+def test_out_of_range_targets_rejected():
+    # a list row store reads adj[-1] as the last row; ops must not
+    g = seed()
+    with pytest.raises(InvalidVertexError):
+        pendent(g, -1)
+    with pytest.raises(InvalidVertexError):
+        clone(g, g.n)
+    with pytest.raises(InvalidVertexError):
+        join(g, [-1], Graft(Graph.from_edges(2, [(0, 1)]), frozenset({1})))
