@@ -82,9 +82,13 @@ class Graph:
             raise InvalidVertexError(f"vertex {v} out of range for n={self.n}")
 
     def vertex_mask(self, vertices: Iterable[int]) -> int:
+        """The mask of ``vertices``, each range-checked before its shift;
+        check_vertex runs only to raise on a vertex out of range."""
+        n = self.n
         m = 0
         for v in vertices:
-            self.check_vertex(v)
+            if not 0 <= v < n:
+                self.check_vertex(v)
             m |= 1 << v
         return m
 

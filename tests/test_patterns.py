@@ -69,11 +69,14 @@ def _kernel_by_contract(g, head, roots, interior, close, count, need):
                             and hits(head + tail[:i + 2]) >= need
                             for i, u in enumerate(inner)))
 
-    def dfs_order(tail):
-        return (tail[0], *((1, u) for u in tail[1:-1]), (0, tail[-1]))
-
-    tails = sorted((t for t in _induced_paths(g) if fits(t)), key=dfs_order)
+    tails = sorted((t for t in _induced_paths(g) if fits(t)), key=_dfs_order)
     return [head + t for t in tails]
+
+
+def _dfs_order(tail):
+    """The kernel's order: by root, then a node's closers before its
+    children, each in increasing order."""
+    return (tail[0], *((1, u) for u in tail[1:-1]), (0, tail[-1]))
 
 
 class TestKernel:
@@ -97,6 +100,45 @@ class TestKernel:
             assert got == want
             yielded += len(got)
         assert yielded > 1000
+
+    def test_pivot_counting_matches_contract(self):
+        # with pivots: every path through interior to a closer, in DFS
+        # order, that brings a live pivot to need neighbours; each one
+        # yielded leaves live only the pivots below the least it finished
+        rng = random.Random(62)
+        yielded = shrunk = 0
+        for _ in range(600):
+            n = rng.randint(1, 9)
+            g = make_random_graph(rng, n)
+            head = rng.sample(range(n), rng.randint(0, 1))
+            free = ((1 << n) - 1) & ~sum(1 << h for h in head)
+            roots, interior, close = (
+                free & rng.getrandbits(n) for _ in range(3))
+            pivots = rng.randrange(1, 1 << n)
+            need = rng.randint(1, 4)
+            count = rng.getrandbits(n)
+            for p in bits(pivots):
+                count |= g.adj[p]
+            got = list(_paths(g, head, roots, interior, close,
+                              SearchBudget(), count, need, pivots))
+            tails = sorted(
+                (t for t in _induced_paths(g)
+                 if roots >> t[0] & 1 and close >> t[-1] & 1
+                 and all(interior >> u & 1 for u in t[1:-1])),
+                key=_dfs_order)
+            want, live = [], pivots
+            for t in tails:
+                fin = [p for p in bits(live)
+                       if sum(g.adj[p] >> u & 1 for u in head + t) >= need]
+                if fin:
+                    want.append(head + t)
+                    live &= (1 << fin[0]) - 1
+                    shrunk += live != 0
+                    if not live:
+                        break
+            assert got == want
+            yielded += len(got)
+        assert yielded > 200 and shrunk > 20
 
 
 class TestTriangle:

@@ -1,9 +1,10 @@
-"""Symmetry and direction reductions in the detector loops.
+"""Symmetry, direction and shared-pivot reductions in the detector loops.
 
-`find_wheel`, `find_fan` and `find_guarded_fan` search one hub or pivot
-per proven orbit (`iso.orbits`), and fans and mountable paths search
-each tip-to-tip path in one direction. Both reductions must keep every
-witness: the references here search every hub or pivot and both
+`find_wheel` and `find_fan` search one hub or pivot per proven orbit
+(`iso.orbits`), `find_guarded_fan` searches every pivot in one shared
+search, and fans and mountable paths search each tip-to-tip path in one
+direction. Each reduction must keep every witness: the references here
+search one hub or pivot at a time, every one of them, in both
 directions with the same kernel, and must agree witness for witness.
 """
 
@@ -22,7 +23,7 @@ from burling import (
 from burling.bits import bits
 from burling.fuzz import generate_sequence, run_sequence
 from burling.iso import _initial, _refine, orbits
-from burling.patterns import _canon_cycle, _cycles, _paths
+from burling.patterns import _canon_cycle, _cycles, _one_way, _paths
 
 from conftest import make_random_graph
 
@@ -163,6 +164,39 @@ class TestEqualityGate:
                 g4, 10 ** 7, ("wheel", "guarded-fan",
                               "mountable-path")).items():
             assert got == want is None, kind
+
+
+def two_fans():
+    """Two tip-to-tip paths, 0-...-1 and 2-...-3, each guarded by one
+    pivot on its 1st, 3rd and 5th inner vertex. Pivot 15 guards the
+    first path and pivot 4 the second, so the shared search finishes
+    15 first, from root 0, and only root 2 reaches the smaller pivot.
+    The inner vertices of degree 3 are pivots too, but guard nothing:
+    removing one leaves a neighbour of it with no way on to a tip."""
+    edges = []
+    for tips, inner, pivot in (((2, 3), (5, 6, 7, 8, 9), 4),
+                               ((0, 1), (10, 11, 12, 13, 14), 15)):
+        path = [tips[0], *inner, tips[1]]
+        edges += list(zip(path, path[1:]))
+        edges += [(pivot, inner[i]) for i in (0, 2, 4)]
+    return Graft(Graph.from_edges(16, edges), frozenset({0, 1, 2, 3}))
+
+
+class TestSharedPivotSearch:
+    def test_a_later_path_finishes_a_smaller_pivot(self):
+        gf = two_fans()
+        g = gf.graph
+        pivots = sum(1 << v for v in range(g.n) if g.adj[v].bit_count() >= 3)
+        count = 0
+        for p in bits(pivots):
+            count |= g.adj[p]
+        full = (1 << g.n) - 1
+        paths = list(_one_way(g, [], gf.tip_mask, full, SearchBudget(),
+                              count, 3, pivots))
+        assert paths == [[0, 10, 11, 12, 13, 14, 1], [2, 5, 6, 7, 8, 9, 3]]
+        want = ref_fan(g, "guarded-fan", 3, gf.tip_mask, SearchBudget())
+        assert want.center == 4
+        assert find_guarded_fan(gf) == want
 
 
 # -- the orbit certificate ---------------------------------------------------
@@ -314,13 +348,27 @@ class TestOrbitBudget:
         assert is_clean(g3).all_hold
         assert calls == [g3]
 
+    def test_guarded_fan_takes_no_orbit_step(self, monkeypatch):
+        calls = recorded(monkeypatch)
+        g4, _ = build_graft(4)
+        assert find_guarded_fan(g4, budget=SearchBudget(100_000)) is None
+        assert calls == []
+
 
 # -- the gain -----------------------------------------------------------------
 
 class TestG4WithinBudget:
     def test_guarded_fan(self):
         g4, _ = build_graft(4)
-        assert find_guarded_fan(g4, budget=SearchBudget(1_000_000)) is None
+        assert find_guarded_fan(g4, budget=SearchBudget(100_000)) is None
+
+    def test_is_clean_nodes(self):
+        # triangle, tips, wheel, guarded fan, mountable path
+        g4, _ = build_graft(4)
+        rep = is_clean(g4, budget=1_000_000)
+        assert rep.all_hold
+        assert [v.nodes for _, v in rep.items()] == [814, 128, 82141, 19299,
+                                                     19299]
 
     def test_wheel(self):
         g4, _ = build_graft(4)
