@@ -175,8 +175,9 @@ class Graft:
     def __post_init__(self):
         tips = frozenset(self.tips)
         object.__setattr__(self, "tips", tips)
-        for t in tips:
-            self.graph.check_vertex(t)
+        if tips:
+            self.graph.check_vertex(min(tips))
+            self.graph.check_vertex(max(tips))
 
     @property
     def tip_mask(self) -> int:

@@ -22,13 +22,19 @@ stop a branch that cannot finish: too few count vertices left unbanned,
 no closer left unbanned, and no closer or too few count vertices
 reachable from the children through unbanned interior vertices.
 
-Two reductions sit in the detector loops instead, and both keep every
+Three reductions sit in the detector loops instead, and all keep every
 witness. Wheels and plain fans search one hub or pivot per orbit of the
-graft's automorphisms, each orbit proven by explicit automorphisms
+graft's automorphisms, each orbit proven by explicit automorphisms, and
+take the orbit step only where an earlier search shows it can pay
 (`_orbit_roots`, `iso.orbits`); guarded fans need no orbits, as their one
 search covers every pivot (`_fan`). Fans and mountable paths search
 each end-to-end path in one direction (`_one_way`), the same loop that
-searches each triangle and cycle in one direction.
+searches each triangle and cycle in one direction. And `is_clean`
+decides conditions (4) and (5) with one walk of the tip-to-tip paths:
+a mountable path is a guarded fan whose pivot is an apex vertex joined
+to every tip (`_apex_walk`), so one shared-pivot search looks for both,
+and only a graft with a guarded fan is searched for a mountable path
+alone.
 """
 
 from __future__ import annotations
@@ -296,32 +302,49 @@ def _cycles(g: Graph, s: int, allowed: int, budget: SearchBudget,
 # -- symmetry -----------------------------------------------------------------
 
 def _orbit_roots(gf: Graft, k: int, budget: SearchBudget):
-    """Yield each vertex of degree >= k, in increasing order, that is the
-    least of its proven orbit of gf's tip-preserving automorphisms: the
-    hubs a wheel search tries, and the pivots a plain fan search tries.
+    """Yield in increasing order the vertices of degree >= k that a
+    wheel search tries as hubs and a plain fan search as pivots: each
+    one but those the orbit step shows are not the least of their
+    proven orbit of gf's tip-preserving automorphisms. The caller
+    searches each vertex, on budget, before it asks for the next.
 
     Automorphisms keep degrees, so a vertex is the least of its orbit
     when no smaller vertex of degree >= k shares its degree. Only a
-    repeated degree calls for the orbit step (`iso.orbits`), taken once
-    and spent on budget. Orbits of tip-preserving automorphisms serve a
-    search that ignores tips too: they are orbits of a group of
-    automorphisms of the graph, only maybe finer, which is how
-    is_clean's wheel search uses the graft's.
+    repeated degree calls for the orbit step (`iso.orbits`), and only
+    where it can pay. Its first refinement round alone spends one node
+    per vertex, so at a repeated degree it is taken only if the search
+    of the first vertex of that degree spent at least n nodes. Taken,
+    it runs once, is spent on budget, and its reps serve every later
+    vertex.
+
+    Skipping the step only means searching more vertices, in the same
+    increasing order. A vertex is dropped only when a smaller member of
+    its orbit is its rep. That rep was searched, as reps are never
+    dropped, and found nothing, as an automorphism carries a wheel or
+    fan to one with the image hub or pivot. So the least vertex with a
+    wheel or fan is searched either way, exactly as when every vertex
+    is, and every witness stays the same.
+
+    Orbits of tip-preserving automorphisms serve a search that ignores
+    tips too: they are orbits of a group of automorphisms of the graph,
+    only maybe finer, which is how is_clean's wheel search uses the
+    graft's.
     """
     adj = gf.graph.adj
+    n = len(adj)
     reps = None
-    seen = set()
-    for v in range(len(adj)):
+    spent = {}
+    for v in range(n):
         d = adj[v].bit_count()
         if d < k:
             continue
-        if d in seen:
-            if reps is None:
-                reps = orbits(gf, budget)[0]
-            if reps[v] != v:
-                continue
-        seen.add(d)
+        if reps is None and spent.get(d, 0) >= n:
+            reps = orbits(gf, budget)[0]
+        if reps is not None and reps[v] != v:
+            continue
+        before = budget.nodes
         yield v
+        spent.setdefault(d, budget.nodes - before)
 
 
 # -- triangles, holes and wheels ----------------------------------------------
@@ -598,6 +621,44 @@ def _find_stable_violation(gf: Graft, budget: SearchBudget):
     return None if path is None else Witness("stable-violation", tuple(path))
 
 
+def _apex_walk(gf: Graft, budget: SearchBudget):
+    """gf's guarded fan or, if it has none, its mountable path, as
+    `find_guarded_fan` and `find_mountable_path` give them; or None.
+    Both come from one walk of the tip-to-tip paths: a guarded-fan
+    search (`_fan`) of the apex graft gf+, which is gf plus a vertex
+    z = n adjacent to exactly the tips, with the pivots of gf plus z
+    when gf has 3 or more tips. Only the tip rows gain z's bit.
+
+    A mountable path is an induced path through >= 3 tips, and every
+    one contains one with tip ends, its stretch from its first tip to
+    its last: a tip-to-tip path on which z has >= 3 neighbours. z lies
+    in neither the ends nor the interior, so it is on no path: the
+    paths are those of gf, and each pivot of gf has the same neighbours
+    on them. The walk's last path is the first path of its least pivot
+    p with a fan, in p's own search (`_fan`). If p is a pivot of gf,
+    that search is the same on gf+ as on gf, so the witness is
+    `find_guarded_fan`'s. If p is z, the largest pivot, gf has no
+    guarded fan, and z's own search, with the tips as ends and count,
+    is `find_mountable_path`'s: the path is its witness, and z's
+    neighbours on it are its tips.
+    """
+    g = gf.graph
+    tm = gf.tip_mask
+    z = 1 << g.n
+    pivots = mask_of(v for v, row in enumerate(g.adj) if row.bit_count() >= 3)
+    if tm.bit_count() >= 3:
+        pivots |= z
+    adj = list(g.adj)
+    for t in gf.tips:
+        adj[t] |= z
+    adj.append(tm)
+    w = _fan(Graph._raw(g.n + 1, adj), "guarded-fan", 3, tm, z - 1,
+             pivots, budget)
+    if w is not None and w.center == g.n:
+        return Witness("mountable-path", w.vertices, hits=w.hits)
+    return w
+
+
 def is_clean(gf: Graft, budget=None) -> CleanReport:
     """Certify the five clean conditions, each exhaustively (or raise
     SearchBudgetExceeded; a truncated search never reports holds).
@@ -605,6 +666,13 @@ def is_clean(gf: Graft, budget=None) -> CleanReport:
     budget: None (unlimited, graphs <= 64 vertices only), an int limit
     applied to each condition separately, or a shared SearchBudget.
     Of the five, only the wheel search takes an orbit step.
+
+    Conditions (4) and (5) walk one tree (`_apex_walk`), and its nodes
+    count on (4). If it finds nothing, both hold, and (5) reports 0. If
+    it finds a mountable path, (4) holds and (5) fails with that path,
+    reporting 0. Only when it finds a guarded fan does (5) search alone
+    (`find_mountable_path`). Every witness is the one the detector for
+    that condition gives alone.
     """
     g = gf.graph
 
@@ -617,6 +685,12 @@ def is_clean(gf: Graft, budget=None) -> CleanReport:
     v1 = run(find_triangle, g)
     v2 = run(_find_stable_violation, gf)
     v3 = run(_wheel, gf, 3)
-    v4 = run(find_guarded_fan, gf)
-    v5 = run(find_mountable_path, gf)
+    v4 = run(_apex_walk, gf)
+    w = v4.witness
+    if w is None:
+        v5 = Verdict(True, None, 0)
+    elif w.kind == "mountable-path":
+        v4, v5 = Verdict(True, None, v4.nodes), Verdict(False, w, 0)
+    else:
+        v5 = run(find_mountable_path, gf)
     return CleanReport(v1, v2, v3, v4, v5)

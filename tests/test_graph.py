@@ -125,6 +125,10 @@ def test_graft_requires_valid_tips():
     assert gf.tip_mask == 0b100
     with pytest.raises(InvalidVertexError):
         Graft(g, frozenset({3}))
+    with pytest.raises(InvalidVertexError, match=r"^vertex -1 out of range"):
+        Graft(g, frozenset({0, -1, 2}))
+    with pytest.raises(InvalidVertexError, match=r"^vertex 7 out of range"):
+        Graft(g, frozenset({0, 1, 7}))
 
 
 @pytest.mark.parametrize("vertices", [[-1], [0, -2], [3], [0, 1, 5]])

@@ -66,6 +66,9 @@ def test_load_graft_requires_tips_key():
     '{"n": 2, "edges": [[0, 1, 2]]}',
     '{"n": 2, "edges": [[0, 0]]}',
     '{"n": 2, "edges": [[0, 5]]}',
+    '{"n": 2, "edges": [[true, 1]]}',
+    '{"n": 2, "edges": [[0, 1.5]]}',
+    '{"n": 2, "edges": [["0", 1]]}',
     '{"n": 2, "edges": [], "tips": [9]}',
     '{"n": 2, "edges": [], "tips": 3}',
     '{"n": 2, "edges": [], "name": 7}',

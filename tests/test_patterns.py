@@ -18,9 +18,11 @@ from burling import (
     SearchBudgetExceeded, BudgetRequiredError, InvalidArgumentError,
 )
 from burling.bits import bits
+from burling.fuzz import generate_sequence, run_sequence
 from burling.patterns import _paths
 
 from conftest import make_random_graph
+from test_symmetry import gate_grafts, two_fans
 
 
 def holes(g, min_len=4):
@@ -471,6 +473,100 @@ class TestIsClean:
         for _, v in rep.items():
             if v.witness is not None:
                 assert validate_witness(wheel6, frozenset(), v.witness)
+
+
+def walk_agrees(gf):
+    """Check is_clean's (4) and (5), decided from one apex walk, against
+    find_guarded_fan and find_mountable_path; return their witnesses."""
+    fan, path = find_guarded_fan(gf), find_mountable_path(gf)
+    b = SearchBudget()
+    rep = is_clean(gf, budget=b)
+    v4, v5 = rep.no_guarded_fan, rep.no_mountable_path
+    assert (v4.holds, v4.witness) == (fan is None, fan)
+    assert (v5.holds, v5.witness) == (path is None, path)
+    assert rep.nodes == b.nodes
+    if fan is None:
+        # the walk decided both
+        assert v5.nodes == 0
+    return fan, path
+
+
+def fans_and_paths(grafts):
+    """How many of grafts have a guarded fan, and a mountable path."""
+    fans = paths = 0
+    for gf in grafts:
+        fan, path = walk_agrees(gf)
+        fans += fan is not None
+        paths += path is not None
+    return fans, paths
+
+
+class TestApexWalk:
+    def test_gate_grafts(self):
+        fans, paths = fans_and_paths(gate_grafts())
+        assert fans >= 100 and paths >= 100
+
+    def test_random_grafts(self):
+        rng = random.Random(15)
+        grafts = []
+        for _ in range(1500):
+            n = rng.randint(2, 12)
+            g = make_random_graph(rng, n, p=rng.uniform(0.1, 0.6))
+            tips = rng.sample(range(n), rng.randint(0, min(6, n)))
+            grafts.append(Graft(g, frozenset(tips)))
+        fans, paths = fans_and_paths(grafts)
+        assert fans >= 300 and paths >= 300
+
+    def test_fuzz_grafts_with_an_edge(self):
+        rng = random.Random(16)
+        grafts = []
+        for seed in range(200):
+            gf = run_sequence(generate_sequence(seed, 8, 40)).final
+            u, v = rng.sample(range(gf.n), 2)
+            adj = list(gf.graph.adj)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            grafts.append(Graft(Graph.from_adj(adj), gf.tips))
+        fans, paths = fans_and_paths(grafts)
+        assert fans >= 10 and paths >= 10
+
+    def test_two_fans(self):
+        # four tips, but no path runs through three of them
+        fan, path = walk_agrees(two_fans())
+        assert fan.center == 4 and path is None
+
+    def test_two_tips_leave_the_apex_out(self):
+        # the apex then has two neighbours on any path, so is no pivot
+        rng = random.Random(17)
+        grafts = []
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            g = make_random_graph(rng, n, p=rng.uniform(0.1, 0.6))
+            grafts.append(Graft(g, frozenset(rng.sample(range(n), 2))))
+        fans, paths = fans_and_paths(grafts)
+        assert fans >= 30 and paths == 0
+
+    def test_fan_and_mountable_path_together(self):
+        # 0-1-2-3-4 runs through three tips, and 5 guards it
+        g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4),
+                                 (5, 0), (5, 2), (5, 4)])
+        fan, path = walk_agrees(Graft(g, frozenset({0, 2, 4})))
+        assert fan.center == 5 and fan.vertices == (0, 1, 2, 3, 4)
+        assert path.vertices == (0, 1, 2, 3, 4)
+
+    def test_each_alone_and_neither(self):
+        p5 = Graph.from_edges(5, [(i, i + 1) for i in range(4)])
+        assert walk_agrees(Graft(p5, frozenset({0, 2, 4})))[0] is None
+        g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4),
+                                 (5, 0), (5, 2), (5, 4)])
+        assert walk_agrees(Graft(g, frozenset({0, 4})))[1] is None
+        # 5 sees only 1 and 3 of any tip-to-tip path: the walk finds
+        # nothing, and its nodes count on (4) alone
+        g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4),
+                                 (5, 1), (5, 3), (5, 6)])
+        rep = is_clean(Graft(g, frozenset({0, 4})))
+        assert rep.all_hold
+        assert rep.no_guarded_fan.nodes > 0 == rep.no_mountable_path.nodes
 
 
 @settings(max_examples=60, deadline=None)

@@ -315,16 +315,25 @@ def recorded(monkeypatch):
 
 
 class TestOrbitBudget:
-    def test_refinement_spends_before_it_runs(self, pair5, monkeypatch):
+    def test_refinement_spends_before_it_runs(self, pair5):
         # one refinement of this graph takes seconds; the first round's
         # charge of one node per vertex is past the limit already
-        calls = recorded(monkeypatch)
         t0 = time.monotonic()
         b = SearchBudget(1000)
         with pytest.raises(SearchBudgetExceeded):
-            find_wheel(pair5, 3, budget=b)
+            orbits(Graft(pair5), b)
         assert time.monotonic() - t0 < 2.0
-        assert len(calls) == 1 and b.nodes == 1001
+        assert b.nodes == 1001
+
+    def test_hub_searches_spend_before_any_orbit_step(self, pair5,
+                                                      monkeypatch):
+        # the step waits for a hub search of at least n nodes, more
+        # than this whole limit
+        calls = recorded(monkeypatch)
+        b = SearchBudget(1000)
+        with pytest.raises(SearchBudgetExceeded):
+            find_wheel(pair5, 3, budget=b)
+        assert calls == [] and b.nodes == 1001
 
     def test_tipless_guarded_fan_does_no_orbit_work(self, pair5,
                                                     monkeypatch):
@@ -341,6 +350,17 @@ class TestOrbitBudget:
         with pytest.raises(SearchBudgetExceeded) as exc:
             find_wheel(g4.graph, 3, budget=b)
         assert b.nodes == exc.value.nodes == 50_001
+
+    def test_cheap_hubs_take_no_orbit_step(self, monkeypatch):
+        # hubs 0, 4 and 8 share degree 3, but each search spends fewer
+        # than n = 12 nodes, so the step could not pay
+        calls = recorded(monkeypatch)
+        g = Graph.from_edges(12, [(h, h + i) for h in (0, 4, 8)
+                                  for i in (1, 2, 3)])
+        b = SearchBudget()
+        assert find_wheel(g, 3, budget=b) is None
+        assert is_clean(Graft(g, frozenset({1, 5, 9}))).all_hold
+        assert calls == [] and b.nodes < g.n
 
     def test_is_clean_shares_one_orbit_step(self, monkeypatch):
         calls = recorded(monkeypatch)
@@ -368,8 +388,11 @@ class TestG4WithinBudget:
         rep = is_clean(g4, budget=1_000_000)
         assert rep.all_hold
         assert [v.nodes for _, v in rep.items()] == [814, 128, 82141, 19299,
-                                                     19299]
+                                                     0]
 
-    def test_wheel(self):
+    def test_wheel(self, monkeypatch):
+        # its hubs' searches pay for the orbit step, taken once
+        calls = recorded(monkeypatch)
         g4, _ = build_graft(4)
         assert find_wheel(g4.graph, 3, budget=SearchBudget(200_000)) is None
+        assert calls == [Graft(g4.graph)]
