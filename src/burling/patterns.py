@@ -22,19 +22,23 @@ stop a branch that cannot finish: too few count vertices left unbanned,
 no closer left unbanned, and no closer or too few count vertices
 reachable from the children through unbanned interior vertices.
 
-Three reductions sit in the detector loops instead, and all keep every
-witness. Wheels and plain fans search one hub or pivot per orbit of the
-graft's automorphisms, each orbit proven by explicit automorphisms, and
-take the orbit step only where an earlier search shows it can pay
-(`_orbit_roots`, `iso.orbits`); guarded fans need no orbits, as their one
-search covers every pivot (`_fan`). Fans and mountable paths search
-each end-to-end path in one direction (`_one_way`), the same loop that
-searches each triangle and cycle in one direction. And `is_clean`
-decides conditions (4) and (5) with one walk of the tip-to-tip paths:
-a mountable path is a guarded fan whose pivot is an apex vertex joined
-to every tip (`_apex_walk`), so one shared-pivot search looks for both,
-and only a graft with a guarded fan is searched for a mountable path
-alone.
+Four reductions sit in the detector loops instead, and all keep every
+witness. Wheels are decided by one walk of the induced cycles for every
+hub at once (`_wheel`): a graft where no vertex has k neighbours on an
+induced cycle has no wheel, and only a graft where one does searches hub
+by hub. That hub search and plain fans search one hub or pivot per orbit
+of the graft's automorphisms, each orbit proven by explicit
+automorphisms, and take the orbit step only where an earlier search
+shows it can pay (`_orbit_roots`, `iso.orbits`); guarded fans need no
+orbits, as their one search covers every pivot (`_fan`). Triangles,
+cycles, fans and mountable paths are each walked in one direction
+(`_paths` with one_way), and tip-to-tip walks root only the least end of
+each class of twins, ends with equal rows, as swapping two twins is an
+automorphism (`_fan`). And `is_clean` decides conditions (4) and (5)
+with one walk of the tip-to-tip paths: a mountable path is a guarded fan
+whose pivot is an apex vertex joined to every tip (`_apex_walk`), so one
+shared-pivot search looks for both, and only a graft with a guarded fan
+is searched for a mountable path alone.
 """
 
 from __future__ import annotations
@@ -103,7 +107,7 @@ def _budget_for(g: Graph, budget) -> SearchBudget:
 
 def _paths(g: Graph, head: list[int], roots: int, interior: int, close: int,
            budget: SearchBudget, count: int = 0, need: int = 0,
-           pivots: int = 0):
+           pivots: int = 0, one_way: bool = False):
     """Yield induced paths head + [r, ..., c] as vertex lists.
 
     r is a vertex of roots, the vertices between r and c lie in interior,
@@ -114,7 +118,24 @@ def _paths(g: Graph, head: list[int], roots: int, interior: int, close: int,
     vertices of close are entered only if they lie in interior. Roots are
     searched in increasing order, closers yielded in increasing order,
     and children popped in increasing order. Each node is spent on the
-    budget as it is popped, before it is searched.
+    budget as it is popped, before it is searched. A root with no closer
+    is not pushed, so it spends nothing.
+
+    With one_way, each root r closes only on the vertices of close above
+    r, so a path with both ends in roots is walked from its lesser end
+    only. Let roots equal close and head be empty; the first path is
+    then that of the two-way walk. Let r be the least root the two-way
+    walk yields from. Every path it yields from r closes above r: were
+    its closer c below r, the reversed path, or its shortest prefix of
+    two or more vertices that ends in close and carries need vertices of
+    count, would be yielded from root c < r. So under r the two-way walk
+    never uses a closer below r, its tree under r is the same with those
+    closers dropped, and dropping them only lets the close and reach cuts
+    remove more branches that yield nothing. A root below r yields
+    nothing one way either: a path it yields has a shortest such prefix,
+    which the two-way walk would yield from it. Cycles use the same rule
+    with a head (`_cycles`), and tip-to-tip walks root one end per twin
+    class (`_fan`).
 
     With pivots, a path must also bring a live pivot to need neighbours
     on it. count must hold every pivot's row, so such a path carries
@@ -127,15 +148,16 @@ def _paths(g: Graph, head: list[int], roots: int, interior: int, close: int,
     path is yielded, and the live set shrinks to the pivots below the
     least such pivot. A closer in interior is entered as a child even
     when it finished the path, as it may lie on a later path of another
-    pivot. The search ends when no pivot is live, and returns the live
+    pivot. Every root starts from the live set the roots before it
+    left, the search ends when no pivot is live, and it returns the live
     set.
 
     Three cuts, all applied at each node v before its children are
     pushed. They rest on the banned mask: a vertex joins or closes the
     path only if it is outside banned, and banned only grows down a
-    branch. It starts as every vertex outside interior and close plus
-    the root, and each child c of v gets banned | N(v) | {c}, which also
-    keeps the path induced. So:
+    branch. It starts as every vertex outside interior and the root's
+    closers, plus the root, and each child c of v gets banned | N(v) |
+    {c}, which also keeps the path induced. So:
 
     - count: every vertex of count a path below v can still take lies
       outside banned. If the path's hits plus those are below need, no
@@ -172,15 +194,17 @@ def _paths(g: Graph, head: list[int], roots: int, interior: int, close: int,
     if pivots:
         for u in head:
             tally = _tally(tally, adj[u])
-    banned = ((1 << g.n) - 1) & ~(interior | close)
+    outside = ((1 << g.n) - 1) & ~interior
     stack = []
     while roots:
         r = roots.bit_length() - 1
         roots ^= 1 << r
-        stack.append((r, banned | 1 << r, hits + (count >> r & 1), tally,
-                      len(head)))
+        shut = _above(r, close) if one_way else close
+        if shut:
+            stack.append((r, outside & ~shut | 1 << r,
+                          hits + (count >> r & 1), tally, len(head), shut))
     while stack:
-        v, banned, hits, tally, depth = stack.pop()
+        v, banned, hits, tally, depth, close = stack.pop()
         budget.spend(1)
         del path[depth:]
         path.append(v)
@@ -234,7 +258,7 @@ def _paths(g: Graph, head: list[int], roots: int, interior: int, close: int,
             c = m.bit_length() - 1
             m ^= 1 << c
             stack.append((c, banned | 1 << c, hits + (count >> c & 1),
-                          tally, depth + 1))
+                          tally, depth + 1, close))
     return live
 
 
@@ -251,52 +275,34 @@ def _above(v: int, mask: int) -> int:
     return mask >> (v + 1) << (v + 1)
 
 
-def _one_way(g: Graph, head: list[int], ends: int, interior: int,
-             budget: SearchBudget, count: int = 0, need: int = 0,
-             pivots: int = 0):
-    """For each r in ends, in increasing order, with some end above r,
-    yield what `_paths(g, head, 1 << r, interior, _above(r, ends), ...)`
-    yields. So every path runs from its root r to a closer above r, and
-    a path with both ends in ends is searched in one direction only.
+def _pivots(g: Graph, k: int) -> int:
+    """The vertices of degree >= k, as a mask."""
+    return mask_of(v for v, row in enumerate(g.adj) if row.bit_count() >= k)
 
-    With an empty head, the first path this yields is the first path of
-    the full call: one `_paths` call over all of ends as roots with
-    every end as a closer. Let r be the least root the full call yields
-    from. Every path it yields from r closes above r: were its closer c
-    below r, the reversed path, or its shortest prefix of two or more
-    vertices that ends in ends and carries need vertices of count,
-    would be yielded from root c < r. So under r the full call never
-    uses a closer below r, its kernel tree under r is the same with
-    those closers dropped, and dropping them only lets the close and
-    reach cuts remove more branches that yield nothing. A root below r
-    yields nothing here: a path it yields has a shortest such prefix,
-    which the full call would yield from it. A root with no end above
-    it has no closer, so it is not searched.
 
-    With pivots, each root's search starts from the live set the one
-    before it left, and the loop ends once no pivot is live.
-    """
-    live = pivots
-    for r in bits(ends):
-        if ends >> r + 1:
-            live = yield from _paths(g, head, 1 << r, interior,
-                                     _above(r, ends), budget, count, need,
-                                     live)
-            if pivots and not live:
-                return
+def _twin_reps(g: Graph, ends: int) -> int:
+    """The least vertex of each class of ends with equal rows."""
+    reps, rows = 0, set()
+    for v in bits(ends):
+        if g.adj[v] not in rows:
+            rows.add(g.adj[v])
+            reps |= 1 << v
+    return reps
 
 
 def _cycles(g: Graph, s: int, allowed: int, budget: SearchBudget,
-            count: int = 0, need: int = 0):
+            count: int = 0, need: int = 0, pivots: int = 0):
     """Yield induced cycles through s as vertex lists [s, v1, ..., c].
 
     The other vertices lie in allowed. Each cycle comes once: v1 and c
-    are the two neighbours of s on it, and `_one_way` closes it only
-    above v1, so of its two directions only one survives.
+    are the two neighbours of s on it, and the one-way walk closes it
+    only above v1, so of its two directions only one survives. With
+    pivots, a cycle is yielded only when a live pivot has need
+    neighbours on it (`_paths`).
     """
     ns = g.adj[s] & allowed
-    return _one_way(g, [s], ns, allowed & ~ns & ~(1 << s), budget, count,
-                    need)
+    return _paths(g, [s], ns, allowed & ~ns & ~(1 << s), ns, budget, count,
+                  need, pivots, one_way=True)
 
 
 # -- symmetry -----------------------------------------------------------------
@@ -352,13 +358,17 @@ def _orbit_roots(gf: Graft, k: int, budget: SearchBudget):
 def find_triangle(g: Graph, budget=None):
     """First triangle in lexicographic order, or None.
 
-    A triangle u < v < w is the path u-v closed by w. For each u,
-    `_one_way` takes the roots v from the neighbours of u above u, and
-    the closers w from those above v, in increasing order.
+    A triangle u < v < w is the path u-v closed by w. For each u with
+    two neighbours above it, a one-way walk (`_paths`) takes the roots v
+    from the neighbours of u above u, and the closers w from those above
+    v, in increasing order.
     """
     b = _budget_for(g, budget)
     for u in range(g.n):
-        for tri in _one_way(g, [u], _above(u, g.adj[u]), 0, b):
+        nu = _above(u, g.adj[u])
+        if nu.bit_count() < 2:
+            continue
+        for tri in _paths(g, [u], nu, 0, nu, b, one_way=True):
             return Witness("triangle", tuple(tri))
     return None
 
@@ -392,11 +402,13 @@ def _hole_iter(g: Graph, min_len: int, b: SearchBudget):
 def find_wheel(g: Graph, k: int = 3, budget=None, threads: int = 1):
     """A hole plus an off-hole hub with >= k neighbors on it, or None.
 
-    Hub-first: each vertex of degree >= k is tried as the hub, anchoring
-    the rim DFS at its smallest rim neighbor, and the hubs are cut to
-    one per proven orbit (`_orbit_roots`). The first witness in increasing
-    hub order is returned. threads is kept for existing callers and
-    must be 1: threads give this pure-Python search no speedup.
+    One walk of every induced cycle, shared by every hub, decides whether
+    a wheel can exist (`_wheel`). Only then is each vertex of degree
+    >= k tried as the hub, anchoring the rim DFS at its smallest rim
+    neighbor, with the hubs cut to one per proven orbit
+    (`_orbit_roots`). The first witness in increasing hub order is
+    returned. threads is kept for existing callers and must be 1:
+    threads give this pure-Python search no speedup.
     """
     if k < 3:
         raise InvalidArgumentError("wheels need k >= 3")
@@ -406,14 +418,32 @@ def find_wheel(g: Graph, k: int = 3, budget=None, threads: int = 1):
 
 
 def _wheel(gf: Graft, k: int, budget: SearchBudget):
-    """find_wheel's search over the hubs that `_orbit_roots` yields.
+    """find_wheel's search: one decision walk, then one hub at a time.
 
-    An automorphism σ carries a wheel with hub h to a wheel with hub
-    σ(h), so the first hub with a wheel is the least of its orbit. It
-    is searched exactly as when every hub is, so the witness is the
-    same.
+    The walk (`_cycle_walk`) searches every induced cycle once, from
+    its least vertex s and in one direction (`_cycles` over the vertices
+    above s), in one pivot-mode search with every vertex of degree >= k
+    as a pivot and count the union of their rows. A wheel's rim is an
+    induced cycle, and its hub is a pivot with k neighbours on it.
+    Before the first yield every pivot is live, and the cuts drop only
+    branches on which no pivot can reach k (`_paths`). So the walk
+    yields the rim or an earlier cycle, and if it yields nothing there
+    is no wheel. A vertex on an induced cycle has only two neighbours on
+    it, so a yield is a cycle plus a vertex off it with k >= 3
+    neighbours on it. That is a wheel, or a triangle with a third common
+    neighbour, as in K4, which has no hole. Either way the hub search
+    below runs exactly as it would alone and gives the witness, so the
+    walk changes no witness. A wheel-free graft pays only for the walk,
+    and takes no orbit step.
+
+    The hubs come from `_orbit_roots`. An automorphism σ carries a wheel
+    with hub h to a wheel with hub σ(h), so the first hub with a wheel
+    is the least of its orbit. It is searched exactly as when every hub
+    is, so the witness is the same.
     """
     g = gf.graph
+    if _cycle_walk(g, k, budget) is None:
+        return None
     full = (1 << g.n) - 1
     for h in _orbit_roots(gf, k, budget):
         nh = g.adj[h]
@@ -425,6 +455,27 @@ def _wheel(gf: Graft, k: int, budget: SearchBudget):
                     hit = tuple(v for v in rim if nh >> v & 1)
                     return Witness("wheel", rim, center=h, k=len(hit),
                                    hits=hit)
+    return None
+
+
+def _cycle_walk(g: Graph, k: int, budget: SearchBudget):
+    """The first induced cycle, in `_wheel`'s decision walk, on which a
+    vertex of degree >= k has k neighbours; or None."""
+    pivots = _pivots(g, k)
+    if not pivots:
+        return None
+    count = 0
+    for p in bits(pivots):
+        count |= g.adj[p]
+    full = (1 << g.n) - 1
+    for s in range(g.n):
+        # a cycle's least vertex has two neighbours above it
+        if _above(s, g.adj[s]).bit_count() < 2:
+            continue
+        cyc = next(_cycles(g, s, _above(s, full), budget, count, k, pivots),
+                   None)
+        if cyc is not None:
+            return cyc
     return None
 
 
@@ -474,11 +525,12 @@ def _fan(g: Graph, kind: str, k: int, ends: int, interior: int,
     interior, plus a pivot off it with >= k neighbours on it; or None.
 
     One search counts for every pivot at once (`_paths` with pivots),
-    over each path in one direction (`_one_way`), with count the union
-    of the pivots' rows. Its last path is the first path of the least
+    over each path in one direction, with count the union of the pivots'
+    rows, and roots only the least end of each class of ends with equal
+    rows (`_twin_reps`). Its last path is the first path of the least
     pivot p that has one, in p's own search: the same call with only p,
     its row as count, and p cut out of interior and ends. Fix a pivot p
-    and compare the two:
+    and first compare the two on the same roots:
 
     - The shared tree holds p's tree in the same DFS order. Its roots
       and closers are a superset of p's, and its banned masks lack at
@@ -494,6 +546,18 @@ def _fan(g: Graph, kind: str, k: int, ends: int, interior: int,
       path finishes a pivot below the one before. The least pivot of
       pivots with k neighbours on the last path is the one it finished.
 
+    Then p's own search keeps its first path when it roots only these
+    twin reps. Let u < v be ends with equal rows, so v is not a root.
+    Equal rows mean u and v are non-adjacent and have the same
+    neighbours, which the row comparison checks edge by edge. So the
+    swap of u and v, fixing every other vertex, is an automorphism. If
+    p is neither, the swap fixes p, its row, ends and interior, and maps
+    each of p's paths rooted at v to one rooted at u < v, which p's
+    search reaches first. If p is u, p sees on a path from v only v's
+    neighbour on it, and never reaches k. So no first path is rooted at
+    v. The same holds for `find_mountable_path`, whose count is the
+    tip set, which the swap fixes.
+
     A path needs two ends, so with fewer there is no search.
     """
     if ends.bit_count() < 2 or not pivots:
@@ -502,8 +566,9 @@ def _fan(g: Graph, kind: str, k: int, ends: int, interior: int,
     for p in bits(pivots):
         count |= g.adj[p]
     path = None
-    for path in _one_way(g, [], ends & interior, interior, budget, count, k,
-                         pivots):
+    ends &= interior
+    for path in _paths(g, [], _twin_reps(g, ends), interior, ends, budget,
+                       count, k, pivots, one_way=True):
         pass
     if path is None:
         return None
@@ -543,7 +608,7 @@ def find_guarded_fan(gf: Graft, budget=None):
     pivots, the vertices of degree >= 3 (see `_fan`)."""
     g = gf.graph
     b = _budget_for(g, budget)
-    pivots = mask_of(v for v, row in enumerate(g.adj) if row.bit_count() >= 3)
+    pivots = _pivots(g, 3)
     return _fan(g, "guarded-fan", 3, gf.tip_mask, (1 << g.n) - 1, pivots, b)
 
 
@@ -552,14 +617,17 @@ def find_mountable_path(gf: Graft, budget=None):
 
     By minimality only paths with tip endpoints and exactly three tips
     need searching: any longer offender contains one. Each path is
-    searched in one direction (`_one_way`).
+    searched in one direction (`_paths`), and only the least tip of each
+    class of tips with equal rows is a root, which keeps the first path
+    (`_fan`).
     """
     g = gf.graph
     b = _budget_for(g, budget)
     tm = gf.tip_mask
     if tm.bit_count() < 3:
         return None
-    path = next(_one_way(g, [], tm, (1 << g.n) - 1, b, tm, 3), None)
+    path = next(_paths(g, [], _twin_reps(g, tm), (1 << g.n) - 1, tm, b, tm,
+                       3, one_way=True), None)
     if path is None:
         return None
     hit = tuple(u for u in path if tm >> u & 1)
@@ -645,7 +713,7 @@ def _apex_walk(gf: Graft, budget: SearchBudget):
     g = gf.graph
     tm = gf.tip_mask
     z = 1 << g.n
-    pivots = mask_of(v for v, row in enumerate(g.adj) if row.bit_count() >= 3)
+    pivots = _pivots(g, 3)
     if tm.bit_count() >= 3:
         pivots |= z
     adj = list(g.adj)
@@ -665,7 +733,8 @@ def is_clean(gf: Graft, budget=None) -> CleanReport:
 
     budget: None (unlimited, graphs <= 64 vertices only), an int limit
     applied to each condition separately, or a shared SearchBudget.
-    Of the five, only the wheel search takes an orbit step.
+    Of the five, only the wheel search can take an orbit step, and only
+    on a graft where its cycle walk finds a hub (`_wheel`).
 
     Conditions (4) and (5) walk one tree (`_apex_walk`), and its nodes
     count on (4). If it finds nothing, both hold, and (5) reports 0. If

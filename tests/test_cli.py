@@ -216,7 +216,7 @@ def test_budget_exhaustion_exits_3(tmp_path, capsys):
     path = tmp_path / "g4.graph"
     assert run(["generate", "--mode", "graft", "--k", "4",
                 "--out", str(path)]) == 0
-    assert run(["verify", "--in", str(path), "--budget", "50000"]) == 3
+    assert run(["verify", "--in", str(path), "--budget", "20000"]) == 3
     capsys.readouterr()
 
 

@@ -1,11 +1,15 @@
 """Symmetry, direction and shared-pivot reductions in the detector loops.
 
-`find_wheel` and `find_fan` search one hub or pivot per proven orbit
-(`iso.orbits`), `find_guarded_fan` searches every pivot in one shared
-search, and fans and mountable paths search each tip-to-tip path in one
-direction. Each reduction must keep every witness: the references here
-search one hub or pivot at a time, every one of them, in both
-directions with the same kernel, and must agree witness for witness.
+`find_wheel` first decides by one walk of the induced cycles, shared by
+every hub, whether a wheel can exist, and only then searches one hub per
+proven orbit (`iso.orbits`), as `find_fan` searches one pivot per orbit.
+`find_guarded_fan` searches every pivot in one shared search. Fans and
+mountable paths search each tip-to-tip path in one direction, rooted
+only at the least end of each class of ends with equal rows. Each
+reduction must keep every witness: the references here search one hub
+or pivot at a time, every one of them, with the same kernel, and walk
+paths from every end and in both directions; they must agree witness
+for witness.
 """
 
 import itertools
@@ -23,7 +27,8 @@ from burling import (
 from burling.bits import bits
 from burling.fuzz import generate_sequence, run_sequence
 from burling.iso import _initial, _refine, orbits
-from burling.patterns import _canon_cycle, _cycles, _one_way, _paths
+from burling.ops import apply_op
+from burling.patterns import _canon_cycle, _cycle_walk, _cycles, _paths
 
 from conftest import make_random_graph
 
@@ -166,6 +171,31 @@ class TestEqualityGate:
             assert got == want is None, kind
 
 
+class TestCycleWalk:
+    def test_k4_walk_yields_a_triangle_but_no_wheel(self):
+        # each vertex sees all three of the triangle 0-1-2, which has no
+        # hole around it, so the hub search runs and finds nothing
+        k4 = Graph.from_edges(4, list(itertools.combinations(range(4), 2)))
+        walk = SearchBudget()
+        assert _cycle_walk(k4, 3, walk) == [0, 1, 2]
+        b = SearchBudget()
+        assert find_wheel(k4, 3, budget=b) is None
+        assert ref_wheel(k4, 3, SearchBudget()) is None
+        assert b.nodes > walk.nodes
+
+    def test_wheel_among_triangles(self):
+        # the K4 on 0-3 yields first; hub 9 on the rim 4-...-8 sees
+        # 4, 6 and 7, and makes the triangle 9-6-7 too
+        edges = (list(itertools.combinations(range(4), 2))
+                 + [(4 + i, 4 + (i + 1) % 5) for i in range(5)]
+                 + [(9, 4), (9, 6), (9, 7)])
+        g = Graph.from_edges(10, edges)
+        assert _cycle_walk(g, 3, SearchBudget()) == [0, 1, 2]
+        w = find_wheel(g, 3)
+        assert w == ref_wheel(g, 3, SearchBudget())
+        assert w.center == 9 and validate_witness(g, None, w)
+
+
 def two_fans():
     """Two tip-to-tip paths, 0-...-1 and 2-...-3, each guarded by one
     pivot on its 1st, 3rd and 5th inner vertex. Pivot 15 guards the
@@ -191,8 +221,8 @@ class TestSharedPivotSearch:
         for p in bits(pivots):
             count |= g.adj[p]
         full = (1 << g.n) - 1
-        paths = list(_one_way(g, [], gf.tip_mask, full, SearchBudget(),
-                              count, 3, pivots))
+        paths = list(_paths(g, [], gf.tip_mask, full, gf.tip_mask,
+                            SearchBudget(), count, 3, pivots, one_way=True))
         assert paths == [[0, 10, 11, 12, 13, 14, 1], [2, 5, 6, 7, 8, 9, 3]]
         want = ref_fan(g, "guarded-fan", 3, gf.tip_mask, SearchBudget())
         assert want.center == 4
@@ -342,14 +372,25 @@ class TestOrbitBudget:
         assert find_guarded_fan(Graft(pair5), budget=b) is None
         assert calls == [] and b.nodes == 0
 
-    def test_limit_inside_the_kernel_after_orbits(self):
-        # the orbit step of g4 spends under 50,000 nodes, so this limit
-        # is met by the many small kernel calls that follow it
-        g4, _ = build_graft(4)
-        b = SearchBudget(50_000)
+    def test_limit_inside_the_kernel_after_orbits(self, monkeypatch):
+        # g4's cycle walk finds no wheel, so it takes no orbit step; with
+        # the edge 6-127 it has a wheel, and the hub search's orbit step
+        # ends under 40,000 nodes, so this limit is met by the many small
+        # kernel calls that follow it
+        ends = []
+        real = burling.patterns.orbits
+
+        def orbits_ended(gf, budget):
+            out = real(gf, budget)
+            ends.append(budget.nodes)
+            return out
+
+        monkeypatch.setattr(burling.patterns, "orbits", orbits_ended)
+        b = SearchBudget(45_000)
         with pytest.raises(SearchBudgetExceeded) as exc:
-            find_wheel(g4.graph, 3, budget=b)
-        assert b.nodes == exc.value.nodes == 50_001
+            find_wheel(g4_with_a_wheel().graph, 3, budget=b)
+        assert len(ends) == 1 and ends[0] < 40_000
+        assert b.nodes == exc.value.nodes == 45_001
 
     def test_cheap_hubs_take_no_orbit_step(self, monkeypatch):
         # hubs 0, 4 and 8 share degree 3, but each search spends fewer
@@ -363,16 +404,46 @@ class TestOrbitBudget:
         assert calls == [] and b.nodes < g.n
 
     def test_is_clean_shares_one_orbit_step(self, monkeypatch):
+        # a wheel-free graft is decided by the cycle walk alone; only a
+        # graft with a wheel searches hubs, which take one step at most
         calls = recorded(monkeypatch)
         g3, _ = build_graft(3)
         assert is_clean(g3).all_hold
-        assert calls == [g3]
+        assert calls == []
+        adj = list(g3.graph.adj)
+        adj[3] |= 1 << 8
+        adj[8] |= 1 << 3
+        gf = Graft(Graph.from_adj(adj), g3.tips)
+        assert not is_clean(gf).wheel_free.holds
+        assert calls == [gf]
 
     def test_guarded_fan_takes_no_orbit_step(self, monkeypatch):
         calls = recorded(monkeypatch)
         g4, _ = build_graft(4)
         assert find_guarded_fan(g4, budget=SearchBudget(100_000)) is None
         assert calls == []
+
+
+def g4_with_a_wheel():
+    """g4 plus the edge 6-127, which makes a wheel with hub 6."""
+    g4, _ = build_graft(4)
+    adj = list(g4.graph.adj)
+    adj[6] |= 1 << 127
+    adj[127] |= 1 << 6
+    return Graft(Graph.from_adj(adj), g4.tips)
+
+
+def level_five_template():
+    """T5, the template of level 5: g4 with every tip cloned and every
+    clone given a pendant, in build_graft's order of ops."""
+    g4, _ = build_graft(4)
+    adj, tips = list(g4.graph.adj), set(g4.tips)
+    ends = sorted(tips)
+    for op in ([("clone", t) for t in ends]
+               + [("pendent", g4.n + i) for i in range(len(ends))]):
+        apply_op(adj, tips, op)
+    assert len(tips) == 256
+    return Graft(Graph.from_adj(adj), frozenset(tips))
 
 
 # -- the gain -----------------------------------------------------------------
@@ -387,12 +458,24 @@ class TestG4WithinBudget:
         g4, _ = build_graft(4)
         rep = is_clean(g4, budget=1_000_000)
         assert rep.all_hold
-        assert [v.nodes for _, v in rep.items()] == [814, 128, 82141, 19299,
+        assert [v.nodes for _, v in rep.items()] == [814, 128, 21994, 19299,
                                                      0]
 
+    def test_level_five_template_is_wheel_free(self):
+        g = level_five_template().graph
+        assert (g.n, g.edge_count()) == (565, 1923)
+        b = SearchBudget(100_000)
+        assert find_wheel(g, 3, budget=b) is None
+        assert b.nodes == 46_885
+
     def test_wheel(self, monkeypatch):
-        # its hubs' searches pay for the orbit step, taken once
+        # the cycle walk alone proves g4 wheel-free, with no orbit step;
+        # with a wheel, the hub searches pay for one step, taken once
         calls = recorded(monkeypatch)
         g4, _ = build_graft(4)
         assert find_wheel(g4.graph, 3, budget=SearchBudget(200_000)) is None
-        assert calls == [Graft(g4.graph)]
+        assert calls == []
+        g = g4_with_a_wheel().graph
+        w = find_wheel(g, 3, budget=SearchBudget(200_000))
+        assert w.center == 6 and validate_witness(g, None, w)
+        assert calls == [Graft(g)]
