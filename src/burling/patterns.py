@@ -22,7 +22,7 @@ stop a branch that cannot finish: too few count vertices left unbanned,
 no closer left unbanned, and no closer or too few count vertices
 reachable from the children through unbanned interior vertices.
 
-Four reductions sit in the detector loops instead, and all keep every
+Five reductions sit in the detector loops instead, and all keep every
 witness. Wheels are decided by one walk of the induced cycles for every
 hub at once (`_wheel`): a graft where no vertex has k neighbours on an
 induced cycle has no wheel, and only a graft where one does searches hub
@@ -30,13 +30,17 @@ by hub. That hub search and plain fans search one hub or pivot per orbit
 of the graft's automorphisms, each orbit proven by explicit
 automorphisms, and take the orbit step only where an earlier search
 shows it can pay (`_orbit_roots`, `iso.orbits`); guarded fans need no
-orbits, as their one search covers every pivot (`_fan`). Triangles,
-cycles, fans and mountable paths are each walked in one direction
-(`_paths` with one_way), and tip-to-tip walks root only the least end of
-each class of twins, ends with equal rows, as swapping two twins is an
-automorphism (`_fan`). And `is_clean` decides conditions (4) and (5)
-with one walk of the tip-to-tip paths: a mountable path is a guarded fan
-whose pivot is an apex vertex joined to every tip (`_apex_walk`), so one
+per-pivot orbits, as their one search covers every pivot (`_fan`).
+Triangles, cycles, fans and mountable paths are each walked in one
+direction (`_paths` with one_way), and tip-to-tip walks root only the
+least end of each class of twins, ends with equal rows, as swapping two
+twins is an automorphism (`_fan`). Where the least tip's walk shows that
+the orbit step pays, a tip-to-tip walk is first decided by a walk rooted
+at one tip per proven orbit of the tips, and only a graft where that
+walk finds a path is walked again, unreduced, for the witness
+(`_tip_walk`). And `is_clean` decides conditions (4) and (5) with one
+walk of the tip-to-tip paths: a mountable path is a guarded fan whose
+pivot is an apex vertex joined to every tip (`_apex_walk`), so one
 shared-pivot search looks for both, and only a graft with a guarded fan
 is searched for a mountable path alone.
 """
@@ -48,7 +52,7 @@ from typing import ClassVar
 
 from .bits import bits, mask_of
 from .graph import Graph, Graft
-from .iso import orbits
+from .iso import _initial, _refine, orbits
 from .witness import Witness
 from .errors import (
     InvalidArgumentError, BudgetRequiredError, SearchBudgetExceeded,
@@ -69,10 +73,11 @@ class SearchBudget:
     """Node-tick accounting shared by the detectors.
 
     The search kernel spends one node on every node it searches, and
-    the orbit step (`iso.orbits`) one node per vertex it recolors. A
-    search raises on its first node past the limit, and then nodes is
-    limit + 1. limit None means unlimited; nodes still accumulates so
-    callers can report how much work a verdict took.
+    each refinement round, in the orbit step (`iso.orbits`) or in the
+    probe that decides whether a tip walk takes it, one node per vertex
+    it recolors. A search raises on its first node past the limit, and
+    then nodes is limit + 1. limit None means unlimited; nodes still
+    accumulates so callers can report how much work a verdict took.
     """
 
     __slots__ = ("limit", "nodes")
@@ -353,6 +358,121 @@ def _orbit_roots(gf: Graft, k: int, budget: SearchBudget):
         spent.setdefault(d, budget.nodes - before)
 
 
+def _tip_walk(gf: Graft, g: Graph, interior: int, count: int, need: int,
+              pivots: int, budget: SearchBudget):
+    """Yield the paths of the one-way walk of gf's tip-to-tip paths in g
+    (`_paths` with gf's tips as ends), rooted at the least tip of each
+    class of tips with equal rows; or nothing, when a walk reduced by
+    gf's proven tip orbits shows that no path exists (`_orbit_walk`).
+
+    g is gf's graph, or gf's graph plus vertices that every
+    tip-preserving automorphism of gf, extended to fix them, keeps, as
+    the apex z of `_apex_walk`. interior, count and pivots are kept by
+    those automorphisms too.
+
+    The least root, the least tip, is walked first and alone. If it
+    yields, its walk goes on, and the other roots start from the live
+    set it left, as in one `_paths` call over every root. If it yields
+    nothing, the live set is still pivots, and one call walks the other
+    roots exactly as that call would, unless the orbit step pays
+    (`_orbit_step_pays`) and the reduced walk finds no path. So every
+    path yielded is one the unreduced walk yields, in its order.
+    """
+    tm = gf.tip_mask
+    roots = _twin_reps(g, tm)
+    first = roots & -roots
+    live = pivots
+    if roots != first:
+        before = budget.nodes
+        walk = _paths(g, [], first, interior, tm, budget, count, need, pivots,
+                      one_way=True)
+        path = next(walk, None)
+        if path is not None:
+            yield path
+            live = yield from walk
+            if pivots and not live:
+                return
+        elif (_orbit_step_pays(gf, roots.bit_count(), budget.nodes - before,
+                               budget)
+              and not _orbit_walk(gf, g, interior, count, need, pivots,
+                                  budget)):
+            return
+        roots ^= first
+    yield from _paths(g, [], roots, interior, tm, budget, count, need, live,
+                      one_way=True)
+
+
+def _orbit_walk(gf: Graft, g: Graph, interior: int, count: int, need: int,
+                pivots: int, budget: SearchBudget) -> bool:
+    """Whether the walk rooted at one tip per proven tip orbit of gf
+    finds a path of `_tip_walk`'s walk that the least tip's walk does
+    not: with that walk, it decides whether the walk has any path.
+
+    The walk. `iso.orbits` proves the orbits of gf's tip-preserving
+    automorphisms, each merge by a map checked edge by edge and tip by
+    tip, and each orbit's rep is its least member. Each tip orbit's
+    least tip r is a root, and closes on every tip other than r whose
+    orbit's least member is at least r; every such tip lies above r.
+    The least tip's orbit is left out, as its least tip's walk closes on
+    every other tip. A root's walk stops at its first path.
+
+    Why it is exact. Take any tip-to-tip path P with a pivot p that has
+    need neighbours on it (or, without pivots, need vertices of count),
+    and an end a of P whose orbit's least member r is at most that of
+    the other end b. Some proven automorphism σ takes a to r. σ keeps
+    the tips, interior, the pivots, count and every vertex of g outside
+    gf, so σ(P) is a tip-to-tip path on which σ(p) has need neighbours.
+    Its end σ(b) is a tip other than r, in b's orbit, whose least member
+    is at least r, so root r's walk closes on σ(b). Before its first
+    yield every pivot is live and the cuts drop only branches that
+    cannot finish (`_paths`), so that walk, or the least tip's when r
+    is the least tip, yields σ(P) or an earlier path. And each path it
+    yields is a path of the unreduced walk, as its closers are fewer.
+    So a path exists exactly when one of the two walks yields.
+    """
+    reps = orbits(gf, budget)[0]
+    orbit: dict[int, int] = {}
+    for t in bits(gf.tip_mask):
+        orbit[reps[t]] = orbit.get(reps[t], 0) | 1 << t
+    later = 0
+    for r in sorted(orbit, reverse=True)[:-1]:
+        later |= orbit[r]
+        walk = _paths(g, [], 1 << r, interior, later & ~(1 << r), budget,
+                      count, need, pivots)
+        if next(walk, None) is not None:
+            return True
+    return False
+
+
+def _orbit_step_pays(gf: Graft, m: int, spent: int,
+                     budget: SearchBudget) -> bool:
+    """Whether `_tip_walk` takes the orbit step on gf, whose tips form m
+    twin classes, after the least tip's walk spent `spent` nodes and
+    yielded nothing.
+
+    That walk is the same with or without the step, so it measures the
+    walk left: about spent nodes for each of the other m - 1 roots. A
+    refinement round spends one node per vertex of gf, and the orbit
+    step costs about 64 rounds on g4 and T5 (19,158 nodes, 62 n, on g4;
+    42,375, 75 n, on T5). So the probe, a refinement of gf on budget, is
+    taken only when spent * (m - 1) >= 64 n. Proven orbits are never
+    coarser than the refined cells, so the reduced walk keeps at least
+    one root per tip cell, and the step is taken only if refinement puts
+    the tips in at most m / 2 cells.
+
+    On certify's mid-size fuzz grafts the walk left is 10 n to 34 n, and
+    refinement would keep all but 1-4 of their 22-33 roots. On g4 it is
+    78 n, and the 128 roots fall into 8 cells; on T5 it is 418 n, and
+    256 roots fall into 16. Refinement and the orbit step spend on
+    budget before each round, so a limit stops them as it stops the
+    kernel.
+    """
+    if spent * (m - 1) < 64 * gf.n:
+        return False
+    (c,) = _refine((gf.graph,), [_initial(gf.graph, gf.tips, {})], budget)
+    return 2 * len({c[t] for t in gf.tips}) <= m
+
+
 # -- triangles, holes and wheels ----------------------------------------------
 
 def find_triangle(g: Graph, budget=None):
@@ -519,7 +639,7 @@ def find_theta(g: Graph, budget=None):
 # -- fans, guarded fans, mountable paths -------------------------------------
 
 def _fan(g: Graph, kind: str, k: int, ends: int, interior: int,
-         pivots: int, budget: SearchBudget):
+         pivots: int, budget: SearchBudget, gf: Graft | None = None):
     """The witness of the given kind with the least pivot of pivots: an
     induced path with both ends in ends and its other vertices in
     interior, plus a pivot off it with >= k neighbours on it; or None.
@@ -558,6 +678,13 @@ def _fan(g: Graph, kind: str, k: int, ends: int, interior: int,
     v. The same holds for `find_mountable_path`, whose count is the
     tip set, which the swap fixes.
 
+    With gf, ends are gf's tips, and every tip-preserving automorphism
+    of gf keeps interior and pivots, so count too. The walk is then
+    `_tip_walk`'s: the same paths in the same order, or none when its
+    walk reduced by the tip orbits shows that there are none, in which
+    case the walk above has none either (`_orbit_walk`). So its last
+    path, and the witness, are the same.
+
     A path needs two ends, so with fewer there is no search.
     """
     if ends.bit_count() < 2 or not pivots:
@@ -565,10 +692,14 @@ def _fan(g: Graph, kind: str, k: int, ends: int, interior: int,
     count = 0
     for p in bits(pivots):
         count |= g.adj[p]
-    path = None
     ends &= interior
-    for path in _paths(g, [], _twin_reps(g, ends), interior, ends, budget,
-                       count, k, pivots, one_way=True):
+    if gf is None:
+        walk = _paths(g, [], _twin_reps(g, ends), interior, ends, budget,
+                      count, k, pivots, one_way=True)
+    else:
+        walk = _tip_walk(gf, g, interior, count, k, pivots, budget)
+    path = None
+    for path in walk:
         pass
     if path is None:
         return None
@@ -605,11 +736,14 @@ def find_fan(g: Graph, k: int = 3, budget=None):
 
 def find_guarded_fan(gf: Graft, budget=None):
     """A fan whose path runs tip-to-tip, or None: one search for all
-    pivots, the vertices of degree >= 3 (see `_fan`)."""
+    pivots, the vertices of degree >= 3, decided first by a walk rooted
+    at one tip per proven tip orbit where that pays (see `_fan`). Every
+    automorphism keeps degrees, so it keeps the pivots."""
     g = gf.graph
     b = _budget_for(g, budget)
     pivots = _pivots(g, 3)
-    return _fan(g, "guarded-fan", 3, gf.tip_mask, (1 << g.n) - 1, pivots, b)
+    return _fan(g, "guarded-fan", 3, gf.tip_mask, (1 << g.n) - 1, pivots, b,
+                gf)
 
 
 def find_mountable_path(gf: Graft, budget=None):
@@ -619,15 +753,19 @@ def find_mountable_path(gf: Graft, budget=None):
     need searching: any longer offender contains one. Each path is
     searched in one direction (`_paths`), and only the least tip of each
     class of tips with equal rows is a root, which keeps the first path
-    (`_fan`).
+    (`_fan`). The walk is `_tip_walk`'s, with the tips as count: every
+    tip-preserving automorphism keeps them, and carries a path with
+    three tips to another. So where the orbit step pays, a walk rooted
+    at one tip per proven tip orbit decides first whether any path
+    exists (`_orbit_walk`), and only if one does is the first path
+    walked for, exactly as without it.
     """
     g = gf.graph
     b = _budget_for(g, budget)
     tm = gf.tip_mask
     if tm.bit_count() < 3:
         return None
-    path = next(_paths(g, [], _twin_reps(g, tm), (1 << g.n) - 1, tm, b, tm,
-                       3, one_way=True), None)
+    path = next(_tip_walk(gf, g, (1 << g.n) - 1, tm, 3, 0, b), None)
     if path is None:
         return None
     hit = tuple(u for u in path if tm >> u & 1)
@@ -709,6 +847,13 @@ def _apex_walk(gf: Graft, budget: SearchBudget):
     guarded fan, and z's own search, with the tips as ends and count,
     is `find_mountable_path`'s: the path is its witness, and z's
     neighbours on it are its tips.
+
+    The walk may be decided first by one rooted at one tip per proven
+    tip orbit of gf (`_tip_walk`). Each tip-preserving automorphism of
+    gf, extended to fix z, is one of gf+: it keeps the tips, so z's
+    row, and it keeps the pivots of gf, so those of gf+. So the orbit
+    argument of `_orbit_walk` holds on gf+ with gf's orbits, and the
+    witness is the same.
     """
     g = gf.graph
     tm = gf.tip_mask
@@ -721,7 +866,7 @@ def _apex_walk(gf: Graft, budget: SearchBudget):
         adj[t] |= z
     adj.append(tm)
     w = _fan(Graph._raw(g.n + 1, adj), "guarded-fan", 3, tm, z - 1,
-             pivots, budget)
+             pivots, budget, gf)
     if w is not None and w.center == g.n:
         return Witness("mountable-path", w.vertices, hits=w.hits)
     return w
@@ -733,8 +878,9 @@ def is_clean(gf: Graft, budget=None) -> CleanReport:
 
     budget: None (unlimited, graphs <= 64 vertices only), an int limit
     applied to each condition separately, or a shared SearchBudget.
-    Of the five, only the wheel search can take an orbit step, and only
-    on a graft where its cycle walk finds a hub (`_wheel`).
+    The wheel search takes an orbit step only on a graft where its
+    cycle walk finds a hub (`_wheel`), and the walk of (4) and (5) only
+    where the least tip's walk shows that it pays (`_tip_walk`).
 
     Conditions (4) and (5) walk one tree (`_apex_walk`), and its nodes
     count on (4). If it finds nothing, both hold, and (5) reports 0. If

@@ -5,7 +5,9 @@ every hub, whether a wheel can exist, and only then searches one hub per
 proven orbit (`iso.orbits`), as `find_fan` searches one pivot per orbit.
 `find_guarded_fan` searches every pivot in one shared search. Fans and
 mountable paths search each tip-to-tip path in one direction, rooted
-only at the least end of each class of ends with equal rows. Each
+only at the least end of each class of ends with equal rows, and on a
+graft where it pays, such as g4 and T5, a walk rooted at one tip per
+proven tip orbit decides first whether any such path exists. Each
 reduction must keep every witness: the references here search one hub
 or pivot at a time, every one of them, with the same kernel, and walk
 paths from every end and in both directions; they must agree witness
@@ -21,14 +23,16 @@ import pytest
 import burling.patterns
 from burling import (
     Graph, Graft, SearchBudget, SearchBudgetExceeded, Witness,
-    build_graft, burling_pair, is_clean, validate_witness,
+    build_graft, burling_pair, graft_from_pair, is_clean, validate_witness,
     find_wheel, find_fan, find_guarded_fan, find_mountable_path,
 )
 from burling.bits import bits
 from burling.fuzz import generate_sequence, run_sequence
 from burling.iso import _initial, _refine, orbits
 from burling.ops import apply_op
-from burling.patterns import _canon_cycle, _cycle_walk, _cycles, _paths
+from burling.patterns import (
+    _canon_cycle, _cycle_walk, _cycles, _orbit_walk, _paths, _pivots, _twin_reps,
+)
 
 from conftest import make_random_graph
 
@@ -153,6 +157,36 @@ class TestEqualityGate:
             symmetric += reps != list(range(gf.n))
         assert min(found.values()) >= 100, found
         assert symmetric >= 300
+
+    def test_orbit_walk_decides_as_the_unreduced_walk(self):
+        # the detectors take the orbit step only on large grafts; here
+        # the reduced walk runs on every gate graft, beside the least
+        # tip's walk, and must find a path exactly when one exists
+        found = symmetric = 0
+        for gf in gate_grafts():
+            g, tm = gf.graph, gf.tip_mask
+            full = (1 << g.n) - 1
+            pivots = _pivots(g, 3)
+            count = 0
+            for p in bits(pivots):
+                count |= g.adj[p]
+            cases = []
+            if tm.bit_count() >= 2 and pivots:
+                cases.append((count, pivots, find_guarded_fan(gf)))
+            if tm.bit_count() >= 3:
+                cases.append((tm, 0, find_mountable_path(gf)))
+            for cnt, piv, want in cases:
+                b = SearchBudget()
+                least = next(_paths(g, [], tm & -tm, full, tm, b, cnt, 3, piv,
+                                    one_way=True), None)
+                got = least is not None or _orbit_walk(gf, g, full, cnt, 3,
+                                                       piv, b)
+                assert got == (want is not None), (g.edges(), sorted(gf.tips))
+                found += got
+            reps, _ = orbits(gf, SearchBudget())
+            symmetric += (len({reps[t] for t in gf.tips})
+                          < _twin_reps(g, tm).bit_count())
+        assert found >= 700 and symmetric >= 140, (found, symmetric)
 
     def test_g3(self):
         g3, _ = build_graft(3)
@@ -404,33 +438,74 @@ class TestOrbitBudget:
         assert calls == [] and b.nodes < g.n
 
     def test_is_clean_shares_one_orbit_step(self, monkeypatch):
-        # a wheel-free graft is decided by the cycle walk alone; only a
-        # graft with a wheel searches hubs, which take one step at most
+        # a wheel-free graft is decided by the cycle walk alone, so g4
+        # takes its one step in the tip walk; only a graft with a wheel
+        # searches hubs, which take one step at most
         calls = recorded(monkeypatch)
         g3, _ = build_graft(3)
         assert is_clean(g3).all_hold
         assert calls == []
+        g4, _ = build_graft(4)
+        assert is_clean(g4, budget=1_000_000).all_hold
+        assert calls == [g4]
         adj = list(g3.graph.adj)
         adj[3] |= 1 << 8
         adj[8] |= 1 << 3
         gf = Graft(Graph.from_adj(adj), g3.tips)
         assert not is_clean(gf).wheel_free.holds
-        assert calls == [gf]
+        assert calls == [g4, gf]
 
-    def test_guarded_fan_takes_no_orbit_step(self, monkeypatch):
+    def test_many_tips_under_a_small_limit(self, monkeypatch):
+        # 72,501 vertices and 32,768 tips, each its own twin class: the
+        # least tip's walk meets the limit before any refinement
+        calls = recorded(monkeypatch)
+        gf = graft_from_pair(burling_pair(5))
+        for search in (find_mountable_path, find_guarded_fan):
+            t0 = time.monotonic()
+            b = SearchBudget(1000)
+            with pytest.raises(SearchBudgetExceeded):
+                search(gf, budget=b)
+            assert time.monotonic() - t0 < 5.0
+            assert b.nodes == 1001
+        assert calls == []
+
+    def test_limit_inside_the_tip_orbit_step(self, monkeypatch):
+        # g4's least tip walks 191 nodes and refinement spends 618; the
+        # orbit step, about 19,000 nodes, is charged to the same limit
         calls = recorded(monkeypatch)
         g4, _ = build_graft(4)
-        assert find_guarded_fan(g4, budget=SearchBudget(100_000)) is None
-        assert calls == []
+        b = SearchBudget(5_000)
+        with pytest.raises(SearchBudgetExceeded):
+            find_guarded_fan(g4, budget=b)
+        assert calls == [g4] and b.nodes == 5_001
+
+
+def g4_plus(u, v):
+    """g4 plus the edge u-v."""
+    g4, _ = build_graft(4)
+    adj = list(g4.graph.adj)
+    adj[u] |= 1 << v
+    adj[v] |= 1 << u
+    return Graft(Graph.from_adj(adj), g4.tips)
 
 
 def g4_with_a_wheel():
     """g4 plus the edge 6-127, which makes a wheel with hub 6."""
-    g4, _ = build_graft(4)
-    adj = list(g4.graph.adj)
-    adj[6] |= 1 << 127
-    adj[127] |= 1 << 6
-    return Graft(Graph.from_adj(adj), g4.tips)
+    return g4_plus(6, 127)
+
+
+def mid_graft():
+    """The first graft of the benchmark's mid-size stream: 100 fuzz ops,
+    kept once it has 165 to 180 edges (123 vertices, 53 tips)."""
+    rng = random.Random(0)
+    while True:
+        seq = generate_sequence(rng.randrange(2**32), 100, 200)
+        adj, tips = [0b10, 0b01], {1}
+        for op in seq.ops:
+            apply_op(adj, tips, op, seq.sides)
+        g = Graph.from_adj(adj)
+        if 165 <= g.edge_count() <= 180:
+            return Graft(g, frozenset(tips))
 
 
 def level_five_template():
@@ -458,7 +533,16 @@ class TestG4WithinBudget:
         g4, _ = build_graft(4)
         rep = is_clean(g4, budget=1_000_000)
         assert rep.all_hold
-        assert [v.nodes for _, v in rep.items()] == [814, 128, 21994, 19299,
+        assert [v.nodes for _, v in rep.items()] == [814, 128, 21994, 21364,
+                                                     0]
+
+    def test_level_five_template_is_clean(self):
+        # the apex walk spends 926 nodes on the least tip, 1,695 on the
+        # refinement, 42,375 on the orbit step and 13,508 on the walk
+        # rooted at the other 15 tip orbits, against 217,017 unreduced
+        rep = is_clean(level_five_template(), budget=1_000_000)
+        assert rep.all_hold
+        assert [v.nodes for _, v in rep.items()] == [1486, 256, 46885, 58504,
                                                      0]
 
     def test_level_five_template_is_wheel_free(self):
@@ -479,3 +563,47 @@ class TestG4WithinBudget:
         w = find_wheel(g, 3, budget=SearchBudget(200_000))
         assert w.center == 6 and validate_witness(g, None, w)
         assert calls == [Graft(g)]
+
+
+# -- the tip orbit step -------------------------------------------------------
+
+class TestTipOrbits:
+    def test_g4_and_t5_take_one_step(self, monkeypatch):
+        calls = recorded(monkeypatch)
+        g4, _ = build_graft(4)
+        assert find_guarded_fan(g4, budget=SearchBudget(100_000)) is None
+        assert find_mountable_path(g4, budget=SearchBudget(100_000)) is None
+        assert calls == [g4, g4]
+        t5 = level_five_template()
+        assert find_mountable_path(t5, budget=SearchBudget(100_000)) is None
+        assert calls == [g4, g4, t5]
+
+    def test_mid_and_fuzz_grafts_take_none(self, monkeypatch):
+        # the mid graft's walk left is 28 n and refinement keeps 25 of
+        # its 28 tip roots; the fuzz grafts' walks are a few nodes
+        calls = recorded(monkeypatch)
+        gf = mid_graft()
+        assert (gf.n, len(gf.tips)) == (123, 53)
+        assert is_clean(gf, budget=1_000_000).all_hold
+        for seed in range(40):
+            assert run_sequence(generate_sequence(seed, 8, 40)).ok
+        assert calls == []
+
+    def test_symmetric_graft_with_a_guarded_fan(self, monkeypatch):
+        # the least tip's walk finds nothing, the reduced walk finds a
+        # path, and the unreduced walk gives the witness
+        calls = recorded(monkeypatch)
+        gf = g4_plus(230, 241)
+        w = find_guarded_fan(gf, budget=SearchBudget(100_000))
+        assert calls == [gf]
+        assert w == ref_fan(gf.graph, "guarded-fan", 3, gf.tip_mask,
+                            SearchBudget())
+        assert w.center == 0 and validate_witness(gf.graph, gf.tips, w)
+
+    def test_symmetric_graft_with_a_mountable_path(self, monkeypatch):
+        calls = recorded(monkeypatch)
+        gf = g4_plus(14, 199)
+        w = find_mountable_path(gf, budget=SearchBudget(100_000))
+        assert calls == [gf]
+        assert w == ref_mountable_path(gf, SearchBudget())
+        assert w.hits == (5, 53, 6) and validate_witness(gf.graph, gf.tips, w)
