@@ -140,9 +140,15 @@ def orbits(gf: Graft, budget) -> tuple[list[int], list[tuple[int, ...]]]:
     Every refinement round spends one node per vertex on budget before
     it runs, so the work stops at the budget's limit.
     """
+    (c,) = _refine((gf.graph,), [_initial(gf.graph, gf.tips, {})], budget)
+    return _orbits(gf, c, budget)
+
+
+def _orbits(gf: Graft, c: list[int], budget):
+    """`orbits` from c, the stable refinement of gf's initial coloring,
+    for a caller that has refined gf already."""
     g = gf.graph
     tips = gf.tip_mask
-    (c,) = _refine((g,), [_initial(g, gf.tips, {})], budget)
     reps = list(range(g.n))
     maps = []
 

@@ -22,22 +22,18 @@ stop a branch that cannot finish: too few count vertices left unbanned,
 no closer left unbanned, and no closer or too few count vertices
 reachable from the children through unbanned interior vertices.
 
-Five reductions sit in the detector loops instead, and all keep every
-witness. Wheels are decided by one walk of the induced cycles for every
-hub at once (`_wheel`): a graft where no vertex has k neighbours on an
-induced cycle has no wheel, and only a graft where one does searches hub
-by hub. That hub search and plain fans search one hub or pivot per orbit
-of the graft's automorphisms, each orbit proven by explicit
-automorphisms, and take the orbit step only where an earlier search
-shows it can pay (`_orbit_roots`, `iso.orbits`); guarded fans need no
-per-pivot orbits, as their one search covers every pivot (`_fan`).
-Triangles, cycles, fans and mountable paths are each walked in one
-direction (`_paths` with one_way), and tip-to-tip walks root only the
-least end of each class of twins, ends with equal rows, as swapping two
-twins is an automorphism (`_fan`). Where the least tip's walk shows that
-the orbit step pays, a tip-to-tip walk is first decided by a walk rooted
-at one tip per proven orbit of the tips, and only a graft where that
-walk finds a path is walked again, unreduced, for the witness
+Four reductions sit in the detector loops instead, and all keep every
+witness. Wheels are decided by one walk of the holes for every hub at
+once, which names the least hub with a wheel, and only that hub is
+searched for the witness (`_wheel`, `_cycle_walk`). Cycles, fans and
+mountable paths are each walked in one direction (`_paths` with
+one_way), and fan and tip-to-tip walks root only the least end of each
+class of twins, ends with equal rows, as swapping two twins is an
+automorphism (`_twin_reps`). Where the least tip's walk shows that the
+orbit step pays, a tip-to-tip walk is first decided by a walk rooted at
+one tip per orbit of the graft's tip-preserving automorphisms, each
+orbit proven by explicit automorphisms (`iso.orbits`), and only a graft
+where that walk finds a path is walked again, unreduced, for the witness
 (`_tip_walk`). And `is_clean` decides conditions (4) and (5) with one
 walk of the tip-to-tip paths: a mountable path is a guarded fan whose
 pivot is an apex vertex joined to every tip (`_apex_walk`), so one
@@ -52,7 +48,7 @@ from typing import ClassVar
 
 from .bits import bits, mask_of
 from .graph import Graph, Graft
-from .iso import _initial, _refine, orbits
+from .iso import _initial, _orbits, _refine
 from .witness import Witness
 from .errors import (
     InvalidArgumentError, BudgetRequiredError, SearchBudgetExceeded,
@@ -73,10 +69,10 @@ class SearchBudget:
     """Node-tick accounting shared by the detectors.
 
     The search kernel spends one node on every node it searches, and
-    each refinement round, in the orbit step (`iso.orbits`) or in the
-    probe that decides whether a tip walk takes it, one node per vertex
-    it recolors. A search raises on its first node past the limit, and
-    then nodes is limit + 1. limit None means unlimited; nodes still
+    each refinement round of a tip walk's orbit step (`_tip_orbits`),
+    whose first round also decides whether the step is taken, one node
+    per vertex it recolors. A search raises on its first node past the
+    limit, and then nodes is limit + 1. limit None means unlimited; nodes still
     accumulates so callers can report how much work a verdict took.
     """
 
@@ -139,8 +135,21 @@ def _paths(g: Graph, head: list[int], roots: int, interior: int, close: int,
     remove more branches that yield nothing. A root below r yields
     nothing one way either: a path it yields has a shortest such prefix,
     which the two-way walk would yield from it. Cycles use the same rule
-    with a head (`_cycles`), and tip-to-tip walks root one end per twin
-    class (`_fan`).
+    with a head (`_cycles`), and fan and tip-to-tip walks root one end
+    per twin class (`_twin_reps`).
+
+    A one-way root r never closes on its own neighbours either. No
+    closer below r is one, as extending past r bans N(r), so the rule
+    drops only the paths head + [r, c] with c a neighbour of r. With
+    head [s] these are the triangles through s, so one-way cycles are
+    holes (`_cycles`). With an empty head they are two-vertex paths,
+    which carry at most two vertices of count and give a pivot at most
+    two neighbours, so the fan and tip-to-tip walks, all with need >= 3,
+    never finish them. Nor does the rule change a branch: with need >= 3
+    r finishes nothing, so no closer of r would be kept from its
+    children, and a cycle walk's closers lie outside interior. Its one
+    other effect is that a root whose every closer is a neighbour of it
+    is not pushed, as it has no closer, and spends no node.
 
     With pivots, a path must also bring a live pivot to need neighbours
     on it. count must hold every pivot's row, so such a path carries
@@ -204,7 +213,7 @@ def _paths(g: Graph, head: list[int], roots: int, interior: int, close: int,
     while roots:
         r = roots.bit_length() - 1
         roots ^= 1 << r
-        shut = _above(r, close) if one_way else close
+        shut = _above(r, close) & ~adj[r] if one_way else close
         if shut:
             stack.append((r, outside & ~shut | 1 << r,
                           hits + (count >> r & 1), tally, len(head), shut))
@@ -286,7 +295,22 @@ def _pivots(g: Graph, k: int) -> int:
 
 
 def _twin_reps(g: Graph, ends: int) -> int:
-    """The least vertex of each class of ends with equal rows."""
+    """The least vertex of each class of ends with equal rows.
+
+    A one-way search for the first path with both ends in ends, the
+    rest in interior and k >= 3 vertices of count keeps that path when
+    it roots only these reps, if the swap of two twins keeps ends and
+    interior, and count is the row of a pivot p or a set the swap keeps,
+    as the tips. Let u < v be ends with equal rows, so v is not a root.
+    Equal rows mean u and v are non-adjacent and have the same
+    neighbours, which the row comparison checks edge by edge. So the
+    swap of u and v, fixing every other vertex, is an automorphism. If
+    p is neither, or count is such a set, the swap keeps count, and maps
+    each path rooted at v to one rooted at u < v, which the search
+    reaches first. If p is u, p sees on a path from v only v's
+    neighbour on it, and never reaches k. So no first path is rooted at
+    v.
+    """
     reps, rows = 0, set()
     for v in bits(ends):
         if g.adj[v] not in rows:
@@ -297,13 +321,14 @@ def _twin_reps(g: Graph, ends: int) -> int:
 
 def _cycles(g: Graph, s: int, allowed: int, budget: SearchBudget,
             count: int = 0, need: int = 0, pivots: int = 0):
-    """Yield induced cycles through s as vertex lists [s, v1, ..., c].
+    """Yield the holes through s as vertex lists [s, v1, ..., c].
 
-    The other vertices lie in allowed. Each cycle comes once: v1 and c
+    The other vertices lie in allowed. Each hole comes once: v1 and c
     are the two neighbours of s on it, and the one-way walk closes it
-    only above v1, so of its two directions only one survives. With
-    pivots, a cycle is yielded only when a live pivot has need
-    neighbours on it (`_paths`).
+    only above v1, so of its two directions only one survives. A
+    one-way root never closes on its own neighbours, so triangles never
+    close (`_paths`). With pivots, a hole is yielded only when a live
+    pivot has need neighbours on it, and the walk returns the live set.
     """
     ns = g.adj[s] & allowed
     return _paths(g, [s], ns, allowed & ~ns & ~(1 << s), ns, budget, count,
@@ -312,58 +337,13 @@ def _cycles(g: Graph, s: int, allowed: int, budget: SearchBudget,
 
 # -- symmetry -----------------------------------------------------------------
 
-def _orbit_roots(gf: Graft, k: int, budget: SearchBudget):
-    """Yield in increasing order the vertices of degree >= k that a
-    wheel search tries as hubs and a plain fan search as pivots: each
-    one but those the orbit step shows are not the least of their
-    proven orbit of gf's tip-preserving automorphisms. The caller
-    searches each vertex, on budget, before it asks for the next.
-
-    Automorphisms keep degrees, so a vertex is the least of its orbit
-    when no smaller vertex of degree >= k shares its degree. Only a
-    repeated degree calls for the orbit step (`iso.orbits`), and only
-    where it can pay. Its first refinement round alone spends one node
-    per vertex, so at a repeated degree it is taken only if the search
-    of the first vertex of that degree spent at least n nodes. Taken,
-    it runs once, is spent on budget, and its reps serve every later
-    vertex.
-
-    Skipping the step only means searching more vertices, in the same
-    increasing order. A vertex is dropped only when a smaller member of
-    its orbit is its rep. That rep was searched, as reps are never
-    dropped, and found nothing, as an automorphism carries a wheel or
-    fan to one with the image hub or pivot. So the least vertex with a
-    wheel or fan is searched either way, exactly as when every vertex
-    is, and every witness stays the same.
-
-    Orbits of tip-preserving automorphisms serve a search that ignores
-    tips too: they are orbits of a group of automorphisms of the graph,
-    only maybe finer, which is how is_clean's wheel search uses the
-    graft's.
-    """
-    adj = gf.graph.adj
-    n = len(adj)
-    reps = None
-    spent = {}
-    for v in range(n):
-        d = adj[v].bit_count()
-        if d < k:
-            continue
-        if reps is None and spent.get(d, 0) >= n:
-            reps = orbits(gf, budget)[0]
-        if reps is not None and reps[v] != v:
-            continue
-        before = budget.nodes
-        yield v
-        spent.setdefault(d, budget.nodes - before)
-
-
 def _tip_walk(gf: Graft, g: Graph, interior: int, count: int, need: int,
               pivots: int, budget: SearchBudget):
     """Yield the paths of the one-way walk of gf's tip-to-tip paths in g
     (`_paths` with gf's tips as ends), rooted at the least tip of each
     class of tips with equal rows; or nothing, when a walk reduced by
-    gf's proven tip orbits shows that no path exists (`_orbit_walk`).
+    gf's proven tip orbits shows that no path exists (`_tip_orbits`,
+    `_orbit_walk`).
 
     g is gf's graph, or gf's graph plus vertices that every
     tip-preserving automorphism of gf, extended to fix them, keeps, as
@@ -375,7 +355,7 @@ def _tip_walk(gf: Graft, g: Graph, interior: int, count: int, need: int,
     set it left, as in one `_paths` call over every root. If it yields
     nothing, the live set is still pivots, and one call walks the other
     roots exactly as that call would, unless the orbit step pays
-    (`_orbit_step_pays`) and the reduced walk finds no path. So every
+    (`_tip_orbits`) and the reduced walk finds no path. So every
     path yielded is one the unreduced walk yields, in its order.
     """
     tm = gf.tip_mask
@@ -392,29 +372,31 @@ def _tip_walk(gf: Graft, g: Graph, interior: int, count: int, need: int,
             live = yield from walk
             if pivots and not live:
                 return
-        elif (_orbit_step_pays(gf, roots.bit_count(), budget.nodes - before,
+        else:
+            reps = _tip_orbits(gf, roots.bit_count(), budget.nodes - before,
                                budget)
-              and not _orbit_walk(gf, g, interior, count, need, pivots,
-                                  budget)):
-            return
+            if reps is not None and not _orbit_walk(
+                    gf, g, reps, interior, count, need, pivots, budget):
+                return
         roots ^= first
     yield from _paths(g, [], roots, interior, tm, budget, count, need, live,
                       one_way=True)
 
 
-def _orbit_walk(gf: Graft, g: Graph, interior: int, count: int, need: int,
-                pivots: int, budget: SearchBudget) -> bool:
+def _orbit_walk(gf: Graft, g: Graph, reps: list[int], interior: int,
+                count: int, need: int, pivots: int,
+                budget: SearchBudget) -> bool:
     """Whether the walk rooted at one tip per proven tip orbit of gf
     finds a path of `_tip_walk`'s walk that the least tip's walk does
     not: with that walk, it decides whether the walk has any path.
 
-    The walk. `iso.orbits` proves the orbits of gf's tip-preserving
-    automorphisms, each merge by a map checked edge by edge and tip by
-    tip, and each orbit's rep is its least member. Each tip orbit's
-    least tip r is a root, and closes on every tip other than r whose
-    orbit's least member is at least r; every such tip lies above r.
-    The least tip's orbit is left out, as its least tip's walk closes on
-    every other tip. A root's walk stops at its first path.
+    The walk. reps are the proven orbits of gf's tip-preserving
+    automorphisms (`iso.orbits`), each merge by a map checked edge by
+    edge and tip by tip, and each orbit's rep is its least member. Each
+    tip orbit's least tip r is a root, and closes on every tip other
+    than r whose orbit's least member is at least r; every such tip lies
+    above r. The least tip's orbit is left out, as its least tip's walk
+    closes on every other tip. A root's walk stops at its first path.
 
     Why it is exact. Take any tip-to-tip path P with a pivot p that has
     need neighbours on it (or, without pivots, need vertices of count),
@@ -430,7 +412,6 @@ def _orbit_walk(gf: Graft, g: Graph, interior: int, count: int, need: int,
     yields is a path of the unreduced walk, as its closers are fewer.
     So a path exists exactly when one of the two walks yields.
     """
-    reps = orbits(gf, budget)[0]
     orbit: dict[int, int] = {}
     for t in bits(gf.tip_mask):
         orbit[reps[t]] = orbit.get(reps[t], 0) | 1 << t
@@ -444,21 +425,22 @@ def _orbit_walk(gf: Graft, g: Graph, interior: int, count: int, need: int,
     return False
 
 
-def _orbit_step_pays(gf: Graft, m: int, spent: int,
-                     budget: SearchBudget) -> bool:
-    """Whether `_tip_walk` takes the orbit step on gf, whose tips form m
-    twin classes, after the least tip's walk spent `spent` nodes and
-    yielded nothing.
+def _tip_orbits(gf: Graft, m: int, spent: int, budget: SearchBudget):
+    """`_tip_walk`'s orbit step: the reps of gf's proven orbits
+    (`iso.orbits`), or None where the step would not pay. gf's tips
+    form m twin classes, and the least tip's walk spent `spent` nodes
+    and yielded nothing.
 
     That walk is the same with or without the step, so it measures the
     walk left: about spent nodes for each of the other m - 1 roots. A
     refinement round spends one node per vertex of gf, and the orbit
     step costs about 64 rounds on g4 and T5 (19,158 nodes, 62 n, on g4;
-    42,375, 75 n, on T5). So the probe, a refinement of gf on budget, is
-    taken only when spent * (m - 1) >= 64 n. Proven orbits are never
-    coarser than the refined cells, so the reduced walk keeps at least
-    one root per tip cell, and the step is taken only if refinement puts
-    the tips in at most m / 2 cells.
+    42,375, 75 n, on T5). So gf is refined, on budget, only when
+    spent * (m - 1) >= 64 n. Proven orbits are never coarser than the
+    refined cells, so the reduced walk keeps at least one root per tip
+    cell, and the step goes on only if refinement puts the tips in at
+    most m / 2 cells. That refinement is the orbit step's own first
+    one, so the step goes on from it (`iso._orbits`).
 
     On certify's mid-size fuzz grafts the walk left is 10 n to 34 n, and
     refinement would keep all but 1-4 of their 22-33 roots. On g4 it is
@@ -468,9 +450,11 @@ def _orbit_step_pays(gf: Graft, m: int, spent: int,
     kernel.
     """
     if spent * (m - 1) < 64 * gf.n:
-        return False
+        return None
     (c,) = _refine((gf.graph,), [_initial(gf.graph, gf.tips, {})], budget)
-    return 2 * len({c[t] for t in gf.tips}) <= m
+    if 2 * len({c[t] for t in gf.tips}) > m:
+        return None
+    return _orbits(gf, c, budget)[0]
 
 
 # -- triangles, holes and wheels ----------------------------------------------
@@ -478,18 +462,18 @@ def _orbit_step_pays(gf: Graft, m: int, spent: int,
 def find_triangle(g: Graph, budget=None):
     """First triangle in lexicographic order, or None.
 
-    A triangle u < v < w is the path u-v closed by w. For each u with
-    two neighbours above it, a one-way walk (`_paths`) takes the roots v
-    from the neighbours of u above u, and the closers w from those above
-    v, in increasing order.
+    For each u, each neighbour v of u above u that has a neighbour of u
+    above it, in increasing order, spends one node; the least common
+    neighbour w > v of u and v closes the triangle u < v < w.
     """
     b = _budget_for(g, budget)
     for u in range(g.n):
         nu = _above(u, g.adj[u])
-        if nu.bit_count() < 2:
-            continue
-        for tri in _paths(g, [u], nu, 0, nu, b, one_way=True):
-            return Witness("triangle", tuple(tri))
+        for v in bits(nu)[:-1]:
+            b.spend(1)
+            w = g.adj[v] & _above(v, nu)
+            if w:
+                return Witness("triangle", (u, v, (w & -w).bit_length() - 1))
     return None
 
 
@@ -522,81 +506,85 @@ def _hole_iter(g: Graph, min_len: int, b: SearchBudget):
 def find_wheel(g: Graph, k: int = 3, budget=None, threads: int = 1):
     """A hole plus an off-hole hub with >= k neighbors on it, or None.
 
-    One walk of every induced cycle, shared by every hub, decides whether
-    a wheel can exist (`_wheel`). Only then is each vertex of degree
-    >= k tried as the hub, anchoring the rim DFS at its smallest rim
-    neighbor, with the hubs cut to one per proven orbit
-    (`_orbit_roots`). The first witness in increasing hub order is
-    returned. threads is kept for existing callers and must be 1:
+    One walk of every hole, shared by every hub, names the least hub
+    with a wheel (`_cycle_walk`), and only that hub is searched for the
+    witness, anchoring the rim DFS at its smallest rim neighbor
+    (`_wheel`). threads is kept for existing callers and must be 1:
     threads give this pure-Python search no speedup.
     """
     if k < 3:
         raise InvalidArgumentError("wheels need k >= 3")
     if threads != 1:
         raise InvalidArgumentError(f"threads must be 1, got {threads}")
-    return _wheel(Graft(g), k, _budget_for(g, budget))
+    return _wheel(g, k, _budget_for(g, budget))
 
 
-def _wheel(gf: Graft, k: int, budget: SearchBudget):
-    """find_wheel's search: one decision walk, then one hub at a time.
+def _wheel(g: Graph, k: int, budget: SearchBudget):
+    """find_wheel's search: one walk names the least hub h with a wheel
+    (`_cycle_walk`), and h's own search gives the witness.
 
-    The walk (`_cycle_walk`) searches every induced cycle once, from
-    its least vertex s and in one direction (`_cycles` over the vertices
-    above s), in one pivot-mode search with every vertex of degree >= k
-    as a pivot and count the union of their rows. A wheel's rim is an
-    induced cycle, and its hub is a pivot with k neighbours on it.
-    Before the first yield every pivot is live, and the cuts drop only
-    branches on which no pivot can reach k (`_paths`). So the walk
-    yields the rim or an earlier cycle, and if it yields nothing there
-    is no wheel. A vertex on an induced cycle has only two neighbours on
-    it, so a yield is a cycle plus a vertex off it with k >= 3
-    neighbours on it. That is a wheel, or a triangle with a third common
-    neighbour, as in K4, which has no hole. Either way the hub search
-    below runs exactly as it would alone and gives the witness, so the
-    walk changes no witness. A wheel-free graft pays only for the walk,
-    and takes no orbit step.
-
-    The hubs come from `_orbit_roots`. An automorphism σ carries a wheel
-    with hub h to a wheel with hub σ(h), so the first hub with a wheel
-    is the least of its orbit. It is searched exactly as when every hub
-    is, so the witness is the same.
+    h's search walks the holes through each neighbour a of h in
+    increasing order, over the vertices other than h and the neighbours
+    of h below a, with h's row as count; its first hole is the rim. That
+    is the witness a search of every hub in increasing order gives, as
+    h is the first hub with a wheel. A wheel-free graft pays only for
+    the walk.
     """
-    g = gf.graph
-    if _cycle_walk(g, k, budget) is None:
+    h = _cycle_walk(g, k, budget)
+    if h is None:
         return None
+    nh = g.adj[h]
     full = (1 << g.n) - 1
-    for h in _orbit_roots(gf, k, budget):
-        nh = g.adj[h]
-        for a in bits(nh):
-            allowed = full & ~(1 << h) & ~(nh & ((1 << a) - 1))
-            for cyc in _cycles(g, a, allowed, budget, nh, k):
-                if len(cyc) >= 4:
-                    rim = _canon_cycle(tuple(cyc))
-                    hit = tuple(v for v in rim if nh >> v & 1)
-                    return Witness("wheel", rim, center=h, k=len(hit),
-                                   hits=hit)
-    return None
+    for a in bits(nh):
+        allowed = full & ~(1 << h) & ~(nh & ((1 << a) - 1))
+        for cyc in _cycles(g, a, allowed, budget, nh, k):
+            return _pivot_witness(g, "wheel", k, _canon_cycle(tuple(cyc)),
+                                  1 << h)
 
 
 def _cycle_walk(g: Graph, k: int, budget: SearchBudget):
-    """The first induced cycle, in `_wheel`'s decision walk, on which a
-    vertex of degree >= k has k neighbours; or None."""
+    """The least vertex with k neighbours on a hole of g, `_wheel`'s
+    hub, or None.
+
+    One pivot-mode walk (`_cycles`, `_paths` with pivots) meets every
+    hole once, from its least vertex s and in one direction, with every
+    vertex of degree >= k as a pivot and count the union of their rows.
+    Each start vertex begins from the live set the one before it left,
+    so the starts act as one search, which runs to the end or until no
+    pivot is live. A vertex on a hole has only two neighbours on it, so
+    a pivot with k >= 3 neighbours on a hole is off it: a hub.
+
+    This is `_fan`'s least-pivot argument. Let h be the least hub. A
+    yield drops the pivots at or above the least pivot it finishes,
+    which is a hub, so at least h: h stays live until a hole finishes
+    it. The cuts drop only branches on which no pivot can reach k, and
+    a yield changes no branch (`_paths`), so while h is live the walk
+    reaches every hole on which h has k neighbours, and the first one
+    finishes h. After that only pivots below h are live, and none of
+    them finishes. So h is the least pivot with k neighbours on the
+    last hole yielded, and if no hole is yielded there is no wheel.
+    """
     pivots = _pivots(g, k)
-    if not pivots:
-        return None
     count = 0
     for p in bits(pivots):
         count |= g.adj[p]
     full = (1 << g.n) - 1
-    for s in range(g.n):
-        # a cycle's least vertex has two neighbours above it
-        if _above(s, g.adj[s]).bit_count() < 2:
-            continue
-        cyc = next(_cycles(g, s, _above(s, full), budget, count, k, pivots),
-                   None)
-        if cyc is not None:
-            return cyc
-    return None
+
+    def walk():
+        live = pivots
+        for s in range(g.n):
+            # a hole's least vertex has two neighbours above it
+            if live and _above(s, g.adj[s]).bit_count() >= 2:
+                live = yield from _cycles(g, s, _above(s, full), budget,
+                                          count, k, live)
+
+    hole = None
+    for hole in walk():
+        pass
+    if hole is None:
+        return None
+    rim = mask_of(hole)
+    return next(p for p in bits(pivots) if (g.adj[p] & rim).bit_count() >= k)
 
 
 # -- thetas -----------------------------------------------------------------
@@ -638,19 +626,20 @@ def find_theta(g: Graph, budget=None):
 
 # -- fans, guarded fans, mountable paths -------------------------------------
 
-def _fan(g: Graph, kind: str, k: int, ends: int, interior: int,
-         pivots: int, budget: SearchBudget, gf: Graft | None = None):
-    """The witness of the given kind with the least pivot of pivots: an
-    induced path with both ends in ends and its other vertices in
-    interior, plus a pivot off it with >= k neighbours on it; or None.
+def _fan(gf: Graft, g: Graph, interior: int, pivots: int,
+         budget: SearchBudget):
+    """The guarded fan with the least pivot of pivots that has one: an
+    induced path with both ends tips of gf and its other vertices in
+    interior, plus a pivot off it with >= 3 neighbours on it; or None.
 
-    One search counts for every pivot at once (`_paths` with pivots),
-    over each path in one direction, with count the union of the pivots'
-    rows, and roots only the least end of each class of ends with equal
-    rows (`_twin_reps`). Its last path is the first path of the least
+    g is gf's graph, or gf's graph plus an apex, as in `_apex_walk`. One
+    search counts for every pivot at once (`_tip_walk`, `_paths` with
+    pivots), over each path in one direction, with count the union of
+    the pivots' rows, rooted only at the least tip of each class of
+    tips with equal rows. Its last path is the first path of the least
     pivot p that has one, in p's own search: the same call with only p,
-    its row as count, and p cut out of interior and ends. Fix a pivot p
-    and first compare the two on the same roots:
+    its row as count, and p cut out of interior and the tips. Fix a
+    pivot p and first compare the two on the same roots:
 
     - The shared tree holds p's tree in the same DFS order. Its roots
       and closers are a superset of p's, and its banned masks lack at
@@ -664,45 +653,33 @@ def _fan(g: Graph, kind: str, k: int, ends: int, interior: int,
     - A pivot is dropped only when a smaller one finishes, so the least
       pivot with a fan stays live until its first path, and every later
       path finishes a pivot below the one before. The least pivot of
-      pivots with k neighbours on the last path is the one it finished.
+      pivots with 3 neighbours on the last path is the one it finished.
 
-    Then p's own search keeps its first path when it roots only these
-    twin reps. Let u < v be ends with equal rows, so v is not a root.
-    Equal rows mean u and v are non-adjacent and have the same
-    neighbours, which the row comparison checks edge by edge. So the
-    swap of u and v, fixing every other vertex, is an automorphism. If
-    p is neither, the swap fixes p, its row, ends and interior, and maps
-    each of p's paths rooted at v to one rooted at u < v, which p's
-    search reaches first. If p is u, p sees on a path from v only v's
-    neighbour on it, and never reaches k. So no first path is rooted at
-    v. The same holds for `find_mountable_path`, whose count is the
-    tip set, which the swap fixes.
+    p's own search keeps its first path when it roots only the twin
+    reps (`_twin_reps`), as the swap of two twin tips keeps the tips
+    and interior. And `_tip_walk` yields the same paths in the same
+    order, or none when its walk reduced by the tip orbits shows that
+    there are none (`_orbit_walk`). So its last path, and the witness,
+    are p's.
 
-    With gf, ends are gf's tips, and every tip-preserving automorphism
-    of gf keeps interior and pivots, so count too. The walk is then
-    `_tip_walk`'s: the same paths in the same order, or none when its
-    walk reduced by the tip orbits shows that there are none, in which
-    case the walk above has none either (`_orbit_walk`). So its last
-    path, and the witness, are the same.
-
-    A path needs two ends, so with fewer there is no search.
+    A path needs two ends, so with fewer tips there is no search.
     """
-    if ends.bit_count() < 2 or not pivots:
+    if len(gf.tips) < 2 or not pivots:
         return None
     count = 0
     for p in bits(pivots):
         count |= g.adj[p]
-    ends &= interior
-    if gf is None:
-        walk = _paths(g, [], _twin_reps(g, ends), interior, ends, budget,
-                      count, k, pivots, one_way=True)
-    else:
-        walk = _tip_walk(gf, g, interior, count, k, pivots, budget)
     path = None
-    for path in walk:
+    for path in _tip_walk(gf, g, interior, count, 3, pivots, budget):
         pass
     if path is None:
         return None
+    return _pivot_witness(g, "guarded-fan", 3, path, pivots)
+
+
+def _pivot_witness(g: Graph, kind: str, k: int, path, pivots: int):
+    """The witness of the given kind: path with the least pivot of
+    pivots that has >= k neighbours on it."""
     for p in bits(pivots):
         hit = tuple(v for v in path if g.adj[p] >> v & 1)
         if len(hit) >= k:
@@ -713,37 +690,36 @@ def _fan(g: Graph, kind: str, k: int, ends: int, interior: int,
 def find_fan(g: Graph, k: int = 3, budget=None):
     """An induced path plus a pivot with >= k neighbors on it, or None.
 
-    Pivots are searched one at a time, in increasing order and one per
-    proven orbit (`_orbit_roots`): each is a one-pivot set with the
-    pivot cut out of the path, so its count cut is on its own row. Every
-    vertex is an end, so the close cut never prunes, and one search for
-    every pivot at once walks more nodes than all of these together: on
-    g4 it passes 20,000,000 nodes, against 2,908,626 for this loop. An
-    automorphism σ carries a fan with pivot p to a fan with pivot σ(p),
-    so the first pivot with a fan is the least of its orbit, and its
-    search is unchanged.
+    Pivots, the vertices of degree >= k, are searched one at a time in
+    increasing order, and the first path of the first pivot p with a
+    fan is the witness. p's search is a one-way walk (`_paths`) of the
+    paths through every vertex but p, with p's row as count, rooted at
+    the least end of each class of ends with equal rows, which keeps
+    its first path (`_twin_reps`). Every vertex is an end, so the close
+    cut never prunes, and one search for every pivot at once walks more
+    nodes than all of these together: on g4 it passes 20,000,000 nodes,
+    against 2,908,626 for this loop.
     """
     if k < 3:
         raise InvalidArgumentError("fans need k >= 3")
     b = _budget_for(g, budget)
     full = (1 << g.n) - 1
-    for p in _orbit_roots(Graft(g), k, b):
-        w = _fan(g, "fan", k, full, full & ~(1 << p), 1 << p, b)
-        if w is not None:
-            return w
+    for p in bits(_pivots(g, k)):
+        rest = full & ~(1 << p)
+        for path in _paths(g, [], _twin_reps(g, rest), rest, rest, b,
+                           g.adj[p], k, one_way=True):
+            return _pivot_witness(g, "fan", k, path, 1 << p)
     return None
 
 
 def find_guarded_fan(gf: Graft, budget=None):
     """A fan whose path runs tip-to-tip, or None: one search for all
     pivots, the vertices of degree >= 3, decided first by a walk rooted
-    at one tip per proven tip orbit where that pays (see `_fan`). Every
+    at one tip per proven tip orbit where that pays (`_fan`). Every
     automorphism keeps degrees, so it keeps the pivots."""
     g = gf.graph
     b = _budget_for(g, budget)
-    pivots = _pivots(g, 3)
-    return _fan(g, "guarded-fan", 3, gf.tip_mask, (1 << g.n) - 1, pivots, b,
-                gf)
+    return _fan(gf, g, (1 << g.n) - 1, _pivots(g, 3), b)
 
 
 def find_mountable_path(gf: Graft, budget=None):
@@ -753,9 +729,9 @@ def find_mountable_path(gf: Graft, budget=None):
     need searching: any longer offender contains one. Each path is
     searched in one direction (`_paths`), and only the least tip of each
     class of tips with equal rows is a root, which keeps the first path
-    (`_fan`). The walk is `_tip_walk`'s, with the tips as count: every
-    tip-preserving automorphism keeps them, and carries a path with
-    three tips to another. So where the orbit step pays, a walk rooted
+    (`_twin_reps`). The walk is `_tip_walk`'s, with the tips as count:
+    every tip-preserving automorphism keeps them, and carries a path
+    with three tips to another. So where the orbit step pays, a walk rooted
     at one tip per proven tip orbit decides first whether any path
     exists (`_orbit_walk`), and only if one does is the first path
     walked for, exactly as without it.
@@ -865,8 +841,7 @@ def _apex_walk(gf: Graft, budget: SearchBudget):
     for t in gf.tips:
         adj[t] |= z
     adj.append(tm)
-    w = _fan(Graph._raw(g.n + 1, adj), "guarded-fan", 3, tm, z - 1,
-             pivots, budget, gf)
+    w = _fan(gf, Graph._raw(g.n + 1, adj), z - 1, pivots, budget)
     if w is not None and w.center == g.n:
         return Witness("mountable-path", w.vertices, hits=w.hits)
     return w
@@ -878,9 +853,8 @@ def is_clean(gf: Graft, budget=None) -> CleanReport:
 
     budget: None (unlimited, graphs <= 64 vertices only), an int limit
     applied to each condition separately, or a shared SearchBudget.
-    The wheel search takes an orbit step only on a graft where its
-    cycle walk finds a hub (`_wheel`), and the walk of (4) and (5) only
-    where the least tip's walk shows that it pays (`_tip_walk`).
+    Only the walk of (4) and (5) takes an orbit step, and only where
+    the least tip's walk shows that it pays (`_tip_walk`).
 
     Conditions (4) and (5) walk one tree (`_apex_walk`), and its nodes
     count on (4). If it finds nothing, both hold, and (5) reports 0. If
@@ -899,7 +873,7 @@ def is_clean(gf: Graft, budget=None) -> CleanReport:
 
     v1 = run(find_triangle, g)
     v2 = run(_find_stable_violation, gf)
-    v3 = run(_wheel, gf, 3)
+    v3 = run(_wheel, g, 3)
     v4 = run(_apex_walk, gf)
     w = v4.witness
     if w is None:

@@ -1,17 +1,17 @@
 """Symmetry, direction and shared-pivot reductions in the detector loops.
 
-`find_wheel` first decides by one walk of the induced cycles, shared by
-every hub, whether a wheel can exist, and only then searches one hub per
-proven orbit (`iso.orbits`), as `find_fan` searches one pivot per orbit.
+`find_wheel` walks the holes once for every hub, which names the least
+hub with a wheel, and searches only that hub for the witness.
 `find_guarded_fan` searches every pivot in one shared search. Fans and
-mountable paths search each tip-to-tip path in one direction, rooted
-only at the least end of each class of ends with equal rows, and on a
-graft where it pays, such as g4 and T5, a walk rooted at one tip per
-proven tip orbit decides first whether any such path exists. Each
-reduction must keep every witness: the references here search one hub
-or pivot at a time, every one of them, with the same kernel, and walk
-paths from every end and in both directions; they must agree witness
-for witness.
+mountable paths search each path in one direction, rooted only at the
+least end of each class of ends with equal rows, and on a graft where
+it pays, such as g4 and T5, a walk rooted at one tip per proven tip
+orbit (`iso.orbits`) decides first whether any tip-to-tip path exists.
+Each reduction must keep every witness: the references here search one
+hub or pivot at a time, every one of them, with the same kernel, and
+walk paths from every end and in both directions; they must agree
+witness for witness. `find_triangle` must give the first triangle in
+lexicographic order, as a scan of every vertex triple does.
 """
 
 import itertools
@@ -24,7 +24,8 @@ import burling.patterns
 from burling import (
     Graph, Graft, SearchBudget, SearchBudgetExceeded, Witness,
     build_graft, burling_pair, graft_from_pair, is_clean, validate_witness,
-    find_wheel, find_fan, find_guarded_fan, find_mountable_path,
+    find_triangle, find_wheel, find_fan, find_guarded_fan,
+    find_mountable_path,
 )
 from burling.bits import bits
 from burling.fuzz import generate_sequence, run_sequence
@@ -53,6 +54,14 @@ def ref_wheel(g, k, budget):
                     hit = tuple(v for v in rim if nh >> v & 1)
                     return Witness("wheel", rim, center=h, k=len(hit),
                                    hits=hit)
+    return None
+
+
+def ref_triangle(g):
+    """The first triangle u < v < w in lexicographic order, or None."""
+    for tri in itertools.combinations(range(g.n), 3):
+        if all(g.has_edge(a, b) for a, b in itertools.combinations(tri, 2)):
+            return Witness("triangle", tri)
     return None
 
 
@@ -179,14 +188,22 @@ class TestEqualityGate:
                 b = SearchBudget()
                 least = next(_paths(g, [], tm & -tm, full, tm, b, cnt, 3, piv,
                                     one_way=True), None)
-                got = least is not None or _orbit_walk(gf, g, full, cnt, 3,
-                                                       piv, b)
+                got = least is not None or _orbit_walk(
+                    gf, g, orbits(gf, b)[0], full, cnt, 3, piv, b)
                 assert got == (want is not None), (g.edges(), sorted(gf.tips))
                 found += got
             reps, _ = orbits(gf, SearchBudget())
             symmetric += (len({reps[t] for t in gf.tips})
                           < _twin_reps(g, tm).bit_count())
         assert found >= 700 and symmetric >= 140, (found, symmetric)
+
+    def test_triangle(self):
+        found = 0
+        for gf in gate_grafts():
+            got = find_triangle(gf.graph)
+            assert got == ref_triangle(gf.graph), gf.graph.edges()
+            found += got is not None
+        assert found >= 500, found
 
     def test_g3(self):
         g3, _ = build_graft(3)
@@ -206,25 +223,25 @@ class TestEqualityGate:
 
 
 class TestCycleWalk:
-    def test_k4_walk_yields_a_triangle_but_no_wheel(self):
-        # each vertex sees all three of the triangle 0-1-2, which has no
-        # hole around it, so the hub search runs and finds nothing
+    def test_k4_walk_names_no_hub(self):
+        # each vertex sees all three of the triangle 0-1-2, but the walk
+        # meets holes only, and K4 has none, so no hub is searched
         k4 = Graph.from_edges(4, list(itertools.combinations(range(4), 2)))
         walk = SearchBudget()
-        assert _cycle_walk(k4, 3, walk) == [0, 1, 2]
+        assert _cycle_walk(k4, 3, walk) is None
         b = SearchBudget()
         assert find_wheel(k4, 3, budget=b) is None
         assert ref_wheel(k4, 3, SearchBudget()) is None
-        assert b.nodes > walk.nodes
+        assert b.nodes == walk.nodes
 
     def test_wheel_among_triangles(self):
-        # the K4 on 0-3 yields first; hub 9 on the rim 4-...-8 sees
-        # 4, 6 and 7, and makes the triangle 9-6-7 too
+        # the walk skips the K4 on 0-3 to the rim 4-...-8, on which hub
+        # 9 sees 4, 6 and 7; 9 makes the triangle 9-6-7 too
         edges = (list(itertools.combinations(range(4), 2))
                  + [(4 + i, 4 + (i + 1) % 5) for i in range(5)]
                  + [(9, 4), (9, 6), (9, 7)])
         g = Graph.from_edges(10, edges)
-        assert _cycle_walk(g, 3, SearchBudget()) == [0, 1, 2]
+        assert _cycle_walk(g, 3, SearchBudget()) == 9
         w = find_wheel(g, 3)
         assert w == ref_wheel(g, 3, SearchBudget())
         assert w.center == 9 and validate_witness(g, None, w)
@@ -368,13 +385,13 @@ def pair5():
 def recorded(monkeypatch):
     """Record the grafts the detectors compute orbits of."""
     calls = []
-    real = burling.patterns.orbits
+    real = burling.patterns._orbits
 
-    def orbits_recorded(gf, budget):
+    def orbits_recorded(gf, c, budget):
         calls.append(gf)
-        return real(gf, budget)
+        return real(gf, c, budget)
 
-    monkeypatch.setattr(burling.patterns, "orbits", orbits_recorded)
+    monkeypatch.setattr(burling.patterns, "_orbits", orbits_recorded)
     return calls
 
 
@@ -389,15 +406,12 @@ class TestOrbitBudget:
         assert time.monotonic() - t0 < 2.0
         assert b.nodes == 1001
 
-    def test_hub_searches_spend_before_any_orbit_step(self, pair5,
-                                                      monkeypatch):
-        # the step waits for a hub search of at least n nodes, more
-        # than this whole limit
-        calls = recorded(monkeypatch)
+    def test_hub_searches_spend_before_any_orbit_step(self, pair5):
+        # the cycle walk of this 39,733-vertex graph meets the limit
         b = SearchBudget(1000)
         with pytest.raises(SearchBudgetExceeded):
             find_wheel(pair5, 3, budget=b)
-        assert calls == [] and b.nodes == 1001
+        assert b.nodes == 1001
 
     def test_tipless_guarded_fan_does_no_orbit_work(self, pair5,
                                                     monkeypatch):
@@ -406,29 +420,9 @@ class TestOrbitBudget:
         assert find_guarded_fan(Graft(pair5), budget=b) is None
         assert calls == [] and b.nodes == 0
 
-    def test_limit_inside_the_kernel_after_orbits(self, monkeypatch):
-        # g4's cycle walk finds no wheel, so it takes no orbit step; with
-        # the edge 6-127 it has a wheel, and the hub search's orbit step
-        # ends under 40,000 nodes, so this limit is met by the many small
-        # kernel calls that follow it
-        ends = []
-        real = burling.patterns.orbits
-
-        def orbits_ended(gf, budget):
-            out = real(gf, budget)
-            ends.append(budget.nodes)
-            return out
-
-        monkeypatch.setattr(burling.patterns, "orbits", orbits_ended)
-        b = SearchBudget(45_000)
-        with pytest.raises(SearchBudgetExceeded) as exc:
-            find_wheel(g4_with_a_wheel().graph, 3, budget=b)
-        assert len(ends) == 1 and ends[0] < 40_000
-        assert b.nodes == exc.value.nodes == 45_001
-
     def test_cheap_hubs_take_no_orbit_step(self, monkeypatch):
-        # hubs 0, 4 and 8 share degree 3, but each search spends fewer
-        # than n = 12 nodes, so the step could not pay
+        # hubs 0, 4 and 8 share degree 3, but the wheel search takes no
+        # orbit step, and the least tip's walk is too cheap for one
         calls = recorded(monkeypatch)
         g = Graph.from_edges(12, [(h, h + i) for h in (0, 4, 8)
                                   for i in (1, 2, 3)])
@@ -438,9 +432,8 @@ class TestOrbitBudget:
         assert calls == [] and b.nodes < g.n
 
     def test_is_clean_shares_one_orbit_step(self, monkeypatch):
-        # a wheel-free graft is decided by the cycle walk alone, so g4
-        # takes its one step in the tip walk; only a graft with a wheel
-        # searches hubs, which take one step at most
+        # the wheel search takes no orbit step, with or without a wheel,
+        # so g4 takes its one step in the tip walk
         calls = recorded(monkeypatch)
         g3, _ = build_graft(3)
         assert is_clean(g3).all_hold
@@ -453,7 +446,7 @@ class TestOrbitBudget:
         adj[8] |= 1 << 3
         gf = Graft(Graph.from_adj(adj), g3.tips)
         assert not is_clean(gf).wheel_free.holds
-        assert calls == [g4, gf]
+        assert calls == [g4]
 
     def test_many_tips_under_a_small_limit(self, monkeypatch):
         # 72,501 vertices and 32,768 tips, each its own twin class: the
@@ -470,8 +463,9 @@ class TestOrbitBudget:
         assert calls == []
 
     def test_limit_inside_the_tip_orbit_step(self, monkeypatch):
-        # g4's least tip walks 191 nodes and refinement spends 618; the
-        # orbit step, about 19,000 nodes, is charged to the same limit
+        # g4's least tip walks 191 nodes; the orbit step, about 19,000
+        # nodes with its first refinement of 618, which decides that the
+        # step is taken, is charged to the same limit
         calls = recorded(monkeypatch)
         g4, _ = build_graft(4)
         b = SearchBudget(5_000)
@@ -533,16 +527,17 @@ class TestG4WithinBudget:
         g4, _ = build_graft(4)
         rep = is_clean(g4, budget=1_000_000)
         assert rep.all_hold
-        assert [v.nodes for _, v in rep.items()] == [814, 128, 21994, 21364,
+        assert [v.nodes for _, v in rep.items()] == [814, 128, 21994, 20746,
                                                      0]
 
     def test_level_five_template_is_clean(self):
-        # the apex walk spends 926 nodes on the least tip, 1,695 on the
-        # refinement, 42,375 on the orbit step and 13,508 on the walk
-        # rooted at the other 15 tip orbits, against 217,017 unreduced
+        # the apex walk spends 926 nodes on the least tip, 42,375 on the
+        # orbit step, whose first refinement of 1,695 decides that it is
+        # taken, and 13,508 on the walk rooted at the other 15 tip
+        # orbits, against 217,017 unreduced
         rep = is_clean(level_five_template(), budget=1_000_000)
         assert rep.all_hold
-        assert [v.nodes for _, v in rep.items()] == [1486, 256, 46885, 58504,
+        assert [v.nodes for _, v in rep.items()] == [1486, 256, 46885, 56809,
                                                      0]
 
     def test_level_five_template_is_wheel_free(self):
@@ -553,16 +548,24 @@ class TestG4WithinBudget:
         assert b.nodes == 46_885
 
     def test_wheel(self, monkeypatch):
-        # the cycle walk alone proves g4 wheel-free, with no orbit step;
-        # with a wheel, the hub searches pay for one step, taken once
+        # the cycle walk alone proves g4 wheel-free; with a wheel, it
+        # names the hub, and neither takes an orbit step
         calls = recorded(monkeypatch)
         g4, _ = build_graft(4)
         assert find_wheel(g4.graph, 3, budget=SearchBudget(200_000)) is None
-        assert calls == []
         g = g4_with_a_wheel().graph
         w = find_wheel(g, 3, budget=SearchBudget(200_000))
         assert w.center == 6 and validate_witness(g, None, w)
-        assert calls == [Graft(g)]
+        assert calls == []
+
+    def test_late_hub(self):
+        # with the edge 203-299 the least hub is 126: the walk of the
+        # holes names it, and only its own search runs after the walk
+        g = g4_plus(203, 299).graph
+        b = SearchBudget(40_000)
+        w = find_wheel(g, 3, budget=b)
+        assert w == ref_wheel(g, 3, SearchBudget()) and w.center == 126
+        assert validate_witness(g, None, w)
 
 
 # -- the tip orbit step -------------------------------------------------------
