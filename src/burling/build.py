@@ -63,15 +63,11 @@ def next_pair(p: StablePair) -> StablePair:
     n = g.n
     m = len(p.stables)
     conn0 = n * (m + 1)
-    member = [0] * n
-    for j, s in enumerate(p.stables):
-        for t in s:
-            member[t] |= 1 << j
+    member, masks = _incidence(p)
     rows = list(g.adj)
     for i in range(m):
         off, con = n + i * n, conn0 + i * m
         rows += [a << off | b << con for a, b in zip(g.adj, member)]
-    masks = [mask_of(s) for s in p.stables]
     rows += [s << n + i * n for i in range(m) for s in masks]
     out = Graph._raw(conn0 + m * m, rows)
     stables = []
@@ -81,6 +77,16 @@ def next_pair(p: StablePair) -> StablePair:
             stables.append(s | {off + t for t in t_set})
             stables.append(s | {conn0 + i * m + j})
     return StablePair(out, tuple(stables))
+
+
+def _incidence(p: StablePair) -> tuple[list[int], list[int]]:
+    """(member, masks): member[t] has bit j when vertex t lies in
+    stables[j], and masks[j] is stables[j] as a mask."""
+    member = [0] * p.graph.n
+    for j, s in enumerate(p.stables):
+        for t in s:
+            member[t] |= 1 << j
+    return member, [mask_of(s) for s in p.stables]
 
 
 def _check_level(k: int, cap: int) -> None:
@@ -101,17 +107,15 @@ def burling_pair(k: int, cap: int = PAIR_CAP) -> StablePair:
 
 
 def graft_from_pair(p: StablePair) -> Graft:
-    """Attach one new tip per stable set, adjacent to exactly that set."""
-    g = p.graph
-    n = g.n
-    adj = list(g.adj)
-    adj.extend(0 for _ in p.stables)
-    for i, s in enumerate(p.stables):
-        for v in s:
-            adj[n + i] |= 1 << v
-            adj[v] |= 1 << (n + i)
-    out = Graph._raw(n + len(p.stables), adj)
-    return Graft(out, frozenset(range(n, n + len(p.stables))))
+    """Attach one new tip per stable set, adjacent to exactly that set:
+    tip n + j's row is stables[j], and vertex t gains member[t] << n."""
+    n = p.graph.n
+    rows, masks = _incidence(p)
+    for t, a in enumerate(p.graph.adj):
+        # in place, so the member rows are not held beside the graft rows
+        rows[t] = a | rows[t] << n
+    return Graft(Graph._raw(n + len(masks), rows + masks),
+                 frozenset(range(n, n + len(masks))))
 
 
 @dataclass(frozen=True)

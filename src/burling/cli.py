@@ -18,7 +18,8 @@ import sys
 from .build import EQUIV_CAP, burling_pair, build_graft, check_equivalence
 from .coloring import bounds_only, chromatic_number, find_non_rainbow_coloring
 from .errors import BurlingError, CapError, SearchBudgetExceeded
-from .fuzz import dump_failure, generate_sequence, load_sequence, run_sequence
+from .fuzz import (DEFAULT_MAX_VERTICES, dump_failure, generate_sequence,
+                   load_sequence, run_sequence)
 from .graph import Graft
 from .io import (graph_from_json, graph_to_dot, graph_to_json, trace_to_json,
                  witness_doc)
@@ -184,7 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ops", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--script", help="replay this op script instead")
-    p.add_argument("--max-vertices", type=int, default=40)
+    p.add_argument("--max-vertices", type=int, default=DEFAULT_MAX_VERTICES)
     p.add_argument("--budget", type=int)
     p.add_argument("--out", help="directory for a replayable failure dump")
     p.set_defaults(func=_cmd_fuzz)

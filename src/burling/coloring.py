@@ -2,11 +2,13 @@
 rainbow-tip search that powers the chromatic lower bound.
 
 One backtracking search, `_search`, answers both exact questions: is
-there a proper c-coloring (the chromatic number counts c up from
-`_lower`, the lower bound `bounds_only` reports too), and is there one
-that keeps every tip's neighborhood under k colors (the rainbow bound).
-With c = n its first descent is greedy DSATUR, the cheap upper bound
-for graphs too big to search.
+there a proper c-coloring, and is there one that keeps every tip's
+neighborhood under k colors (the rainbow bound). With c = n its first
+descent is greedy DSATUR, which gives both cheap bounds of
+`bounds_only`: its color count is the upper bound, and as it uses at
+most 2 colors exactly on bipartite graphs, it is also the odd-cycle
+test of the lower bound (`_lower`). The chromatic number counts c up
+from that lower bound.
 """
 
 from __future__ import annotations
@@ -70,24 +72,6 @@ def _greedy_clique(g: Graph) -> list[int]:
             clique.append(v)
             cmask |= 1 << v
     return clique
-
-
-def _is_bipartite(g: Graph) -> bool:
-    side = [-1] * g.n
-    for s in range(g.n):
-        if side[s] >= 0:
-            continue
-        side[s] = 0
-        queue = [s]
-        while queue:
-            v = queue.pop()
-            for u in bits(g.adj[v]):
-                if side[u] < 0:
-                    side[u] = side[v] ^ 1
-                    queue.append(u)
-                elif side[u] == side[v]:
-                    return False
-    return True
 
 
 def _search(g: Graph, c: int, tips=(), k: int = 0) -> list[int] | None:
@@ -183,20 +167,27 @@ def _search(g: Graph, c: int, tips=(), k: int = 0) -> list[int] | None:
     return colors
 
 
-def _lower(g: Graph) -> int:
-    """A lower bound on chi: the greedy clique size, raised to 3 when g
-    is not bipartite (an odd cycle needs three colors)."""
+def _lower(g: Graph, greedy: int) -> int:
+    """A lower bound on chi: the greedy clique size, raised to 3 when
+    greedy DSATUR (`bounds_only`) uses greedy > 2 colors, which it does
+    exactly when g is not bipartite (Brelaz, CACM 1979). If g is, only
+    vertices with a colored neighbor have sat >= 1, so the max-sat pick
+    finishes each component before the next, and every pick but a
+    component's first has a colored neighbor. By induction the first's
+    side holds color 0 and the other side 1: each pick sees only the
+    other side's color and takes its lowest free one.
+    """
     c = len(_greedy_clique(g))
-    return 3 if c < 3 and not _is_bipartite(g) else c
+    return 3 if c < 3 and greedy > 2 else c
 
 
 def chromatic_number(g: Graph, cap: int = CHROMA_CAP) -> ChromaticCertificate:
-    """Exact chi with a witness coloring: the first c from `_lower` up
-    that admits a proper c-coloring. That coloring uses exactly c
-    colors, since c-1 failed or is below the bound."""
+    """Exact chi with a witness coloring: the first c from `bounds_only`'s
+    lower bound up that admits a proper c-coloring. That coloring uses
+    exactly c colors, since c-1 failed or is below the bound."""
     if g.n > cap:
         raise CapError(f"exact solver capped at {cap} vertices, got {g.n}")
-    c = _lower(g)
+    c = bounds_only(g)[0]
     while (colors := _search(g, c)) is None:
         c += 1
     return ChromaticCertificate(c, Coloring(colors), "exhaustive-search")
@@ -205,14 +196,16 @@ def chromatic_number(g: Graph, cap: int = CHROMA_CAP) -> ChromaticCertificate:
 def bounds_only(g: Graph) -> tuple[int, int]:
     """Cheap (lower, upper) chromatic bounds for any size of graph.
 
-    The lower bound is `_lower`. The upper bound is greedy DSATUR, run
-    as `_search` with c = n: fewer than n vertices are colored before
-    each pick, so `used < c`, and the color `used` is free (neighbors
-    only hold colors below it). A free color always exists and no tip
-    cut applies, so the first descent never backtracks and gives each
-    vertex its lowest free color. Both bound chi, so lower <= upper.
+    The upper bound is greedy DSATUR, run as `_search` with c = n: fewer
+    than n vertices are colored before each pick, so `used < c`, and
+    the color `used` is free (neighbors only hold colors below it). A
+    free color always exists and no tip cut applies, so the first
+    descent never backtracks and gives each vertex its lowest free
+    color. The lower bound is `_lower` of it. Both bound chi, so
+    lower <= upper.
     """
-    return _lower(g), max(_search(g, g.n), default=-1) + 1
+    upper = max(_search(g, g.n), default=-1) + 1
+    return _lower(g, upper), upper
 
 
 def find_non_rainbow_coloring(gf: Graft, k: int, c: int,

@@ -140,13 +140,19 @@ def orbits(gf: Graft, budget) -> tuple[list[int], list[tuple[int, ...]]]:
     Every refinement round spends one node per vertex on budget before
     it runs, so the work stops at the budget's limit.
     """
+    return _orbits(gf, _stable_coloring(gf, budget), budget)
+
+
+def _stable_coloring(gf: Graft, budget) -> list[int]:
+    """The stable refinement of gf's initial coloring, by degree and tip
+    membership, spending on budget as `_refine` says."""
     (c,) = _refine((gf.graph,), [_initial(gf.graph, gf.tips, {})], budget)
-    return _orbits(gf, c, budget)
+    return c
 
 
 def _orbits(gf: Graft, c: list[int], budget):
-    """`orbits` from c, the stable refinement of gf's initial coloring,
-    for a caller that has refined gf already."""
+    """`orbits` from c, gf's stable coloring (`_stable_coloring`), for a
+    caller that has refined gf already."""
     g = gf.graph
     tips = gf.tip_mask
     reps = list(range(g.n))

@@ -6,39 +6,40 @@ Witness on success; a node budget can bound the search, in which case
 running out raises SearchBudgetExceeded (inconclusive) rather than ever
 reporting a truncated search as "holds".
 
-Every detector is a short wrapper around one search kernel, `_paths`,
-a DFS over induced paths with a banned-vertex mask: extending past u bans
-N(u), so later vertices cannot chord back. A path grows from a fixed head
-through root and interior vertices and finishes on a closer, a neighbour
-of its end drawn from a close mask. Cycles (triangles, holes, wheel rims)
-close on neighbours of the head vertex, theta branches on the far branch
-vertex, fans and mountable paths on an end vertex once the path carries
-enough pivot neighbours or tips. The kernel counts in one of two ways:
-vertices of one count mask, or bit-sliced neighbour counts for a whole
-set of pivots at once, which lets one guarded-fan search serve every
-pivot. Branch cuts live only in the kernel,
-so a new cut is written once and every detector gets it. Three cuts
-stop a branch that cannot finish: too few count vertices left unbanned,
-no closer left unbanned, and no closer or too few count vertices
-reachable from the children through unbanned interior vertices.
+Every detector is a short wrapper around one search kernel, `_paths`, a
+DFS over induced paths with a banned-vertex mask: extending past u bans
+N(u), so later vertices cannot chord back. A path grows from a fixed
+head through root and interior vertices and finishes on a closer, a
+neighbour of its end drawn from a close mask. Cycles (triangles, holes,
+wheel rims) close on neighbours of the head vertex, theta branches on
+the far branch vertex, fans and mountable paths on an end vertex once
+the path carries enough pivot neighbours or tips. The kernel counts in
+one of two ways: vertices of one count mask, or bit-sliced neighbour
+counts for a whole set of pivots at once, which lets one walk serve
+every pivot. Branch cuts live only in the kernel, so a new cut is
+written once and every detector gets it. Three cuts stop a branch that
+cannot finish: too few count vertices left unbanned, no closer left
+unbanned, and no closer or too few count vertices reachable from the
+children through unbanned interior vertices.
 
 Four reductions sit in the detector loops instead, and all keep every
 witness. Wheels are decided by one walk of the holes for every hub at
-once, which names the least hub with a wheel, and only that hub is
-searched for the witness (`_wheel`, `_cycle_walk`). Cycles, fans and
-mountable paths are each walked in one direction (`_paths` with
-one_way), and fan and tip-to-tip walks root only the least end of each
-class of twins, ends with equal rows, as swapping two twins is an
-automorphism (`_twin_reps`). Where the least tip's walk shows that the
-orbit step pays, a tip-to-tip walk is first decided by a walk rooted at
-one tip per orbit of the graft's tip-preserving automorphisms, each
-orbit proven by explicit automorphisms (`iso.orbits`), and only a graft
-where that walk finds a path is walked again, unreduced, for the witness
-(`_tip_walk`). And `is_clean` decides conditions (4) and (5) with one
-walk of the tip-to-tip paths: a mountable path is a guarded fan whose
-pivot is an apex vertex joined to every tip (`_apex_walk`), so one
-shared-pivot search looks for both, and only a graft with a guarded fan
-is searched for a mountable path alone.
+once, the walk `find_hole` lists holes with (`_holes`). It names the
+least hub with a wheel by the rule every shared-pivot walk uses
+(`_last_pivot`), and only that hub is searched for the witness
+(`_wheel`, `_cycle_walk`). Cycles, fans and mountable paths are each
+walked in one direction (`_paths` with one_way), and fan and tip-to-tip
+walks root only the least end of each class of twins, ends with equal
+rows, as swapping two twins is an automorphism (`_twin_reps`). Where the
+least tip's walk shows that the orbit step pays, a tip-to-tip walk is
+first decided by a walk rooted at one tip per orbit of the graft's tip-
+preserving automorphisms, each orbit proven by explicit automorphisms
+(`iso.orbits`), and only a graft where that walk finds a path is walked
+again, unreduced, for the witness (`_tip_walk`). And `is_clean` decides
+conditions (4) and (5) with one walk of the tip-to-tip paths: a
+mountable path is a guarded fan whose pivot is an apex vertex joined to
+every tip (`_apex_walk`), so one shared-pivot search looks for both, and
+only a graft with a guarded fan is searched for a mountable path alone.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import ClassVar
 
 from .bits import bits, mask_of
 from .graph import Graph, Graft
-from .iso import _initial, _orbits, _refine
+from .iso import _orbits, _stable_coloring
 from .witness import Witness
 from .errors import (
     InvalidArgumentError, BudgetRequiredError, SearchBudgetExceeded,
@@ -115,28 +116,27 @@ def _paths(g: Graph, head: list[int], roots: int, interior: int, close: int,
     and c, the closer, is a neighbour of the path's end from close. The
     head is taken as given: the caller makes roots, interior and close
     fit it. A path must carry at least need vertices of count. A closer
-    that brings the path to need finishes it and is never entered; other
-    vertices of close are entered only if they lie in interior. Roots are
-    searched in increasing order, closers yielded in increasing order,
-    and children popped in increasing order. Each node is spent on the
-    budget as it is popped, before it is searched. A root with no closer
-    is not pushed, so it spends nothing.
+    that brings the path to need finishes it, and a vertex of close that
+    lies in interior is entered as a child too, finished or not: every
+    caller whose closers meet interior stops at its first path. Roots
+    are searched in increasing order, closers yielded in increasing
+    order, and children popped in increasing order. Each node is spent
+    on the budget as it is popped, before it is searched. A root with no
+    closer is not pushed, so it spends nothing.
 
     With one_way, each root r closes only on the vertices of close above
     r, so a path with both ends in roots is walked from its lesser end
     only. Let roots equal close and head be empty; the first path is
     then that of the two-way walk. Let r be the least root the two-way
     walk yields from. Every path it yields from r closes above r: were
-    its closer c below r, the reversed path, or its shortest prefix of
-    two or more vertices that ends in close and carries need vertices of
-    count, would be yielded from root c < r. So under r the two-way walk
-    never uses a closer below r, its tree under r is the same with those
-    closers dropped, and dropping them only lets the close and reach cuts
-    remove more branches that yield nothing. A root below r yields
-    nothing one way either: a path it yields has a shortest such prefix,
-    which the two-way walk would yield from it. Cycles use the same rule
-    with a head (`_cycles`), and fan and tip-to-tip walks root one end
-    per twin class (`_twin_reps`).
+    its closer c below r, the two-way walk would yield the reversed path
+    from root c < r. So under r the two-way walk never uses a closer
+    below r, its tree under r is the same with those closers dropped,
+    and dropping them only lets the close and reach cuts remove more
+    branches that yield nothing. A root below r yields nothing one way
+    either, as the two-way walk would yield the same path from it.
+    Cycles use the same rule with a head (`_cycles`), and fan and
+    tip-to-tip walks root one end per twin class (`_twin_reps`).
 
     A one-way root r never closes on its own neighbours either. No
     closer below r is one, as extending past r bans N(r), so the rule
@@ -145,11 +145,11 @@ def _paths(g: Graph, head: list[int], roots: int, interior: int, close: int,
     holes (`_cycles`). With an empty head they are two-vertex paths,
     which carry at most two vertices of count and give a pivot at most
     two neighbours, so the fan and tip-to-tip walks, all with need >= 3,
-    never finish them. Nor does the rule change a branch: with need >= 3
-    r finishes nothing, so no closer of r would be kept from its
-    children, and a cycle walk's closers lie outside interior. Its one
-    other effect is that a root whose every closer is a neighbour of it
-    is not pushed, as it has no closer, and spends no node.
+    never finish them. Nor does the rule change a branch: children do
+    not depend on closers, and every node at or below r bans N(r), so
+    the close and reach cuts never test a neighbour of r. Its one other
+    effect is that a root whose every closer is a neighbour of it is not
+    pushed, as it has no closer, and spends no node.
 
     With pivots, a path must also bring a live pivot to need neighbours
     on it. count must hold every pivot's row, so such a path carries
@@ -160,11 +160,9 @@ def _paths(g: Graph, head: list[int], roots: int, interior: int, close: int,
     tally[j] |= tally[j - 1] & N(u). A closer finishes the path when
     some live pivot is in tally[need] or in tally[need - 1] & N(c); the
     path is yielded, and the live set shrinks to the pivots below the
-    least such pivot. A closer in interior is entered as a child even
-    when it finished the path, as it may lie on a later path of another
-    pivot. Every root starts from the live set the roots before it
-    left, the search ends when no pivot is live, and it returns the live
-    set.
+    least such pivot (`_last_pivot`). Every root starts from the live
+    set the roots before it left, the search ends when no pivot is live,
+    and it returns the live set.
 
     Three cuts, all applied at each node v before its children are
     pushed. They rest on the banned mask: a vertex joins or closes the
@@ -195,10 +193,10 @@ def _paths(g: Graph, head: list[int], roots: int, interior: int, close: int,
       layer at which both hold.
 
     The reach cut implies the other two, but each is a mask test that
-    skips the BFS: guarded fan on g4, searched one pivot at a time, took
-    about 30% longer without the close cut and 7% longer without the
-    count cut, with the same nodes (medians of 7 in-process rounds
-    alternating the kernels, 2-core VM, Python 3.11).
+    skips the BFS. Without both, with the same nodes, certify's slices
+    took longer: mid-size `is_clean` 11% (median 0.261 s to 0.290 s),
+    fuzz `is_clean` 13%, small detectors 10%, g4 searches 12% (medians
+    of 4 alternating traced runs, 2-core VM, Python 3.11).
     """
     adj = g.adj
     path = list(head)
@@ -236,7 +234,6 @@ def _paths(g: Graph, head: list[int], roots: int, interior: int, close: int,
             m = free & close & count
         else:
             m = 0
-        done = 0 if pivots else m
         while m:
             c = m & -m
             m ^= c
@@ -249,7 +246,7 @@ def _paths(g: Graph, head: list[int], roots: int, interior: int, close: int,
             yield path + [u]
             if pivots and not live:
                 return live
-        m = free & interior & ~done
+        m = free & interior
         if not m or not close & ~(banned | adj[v]):
             continue
         banned |= adj[v]
@@ -294,6 +291,36 @@ def _pivots(g: Graph, k: int) -> int:
     return mask_of(v for v, row in enumerate(g.adj) if row.bit_count() >= k)
 
 
+def _rows(g: Graph, pivots: int) -> int:
+    """The union of the pivots' rows, the count of a pivot-mode walk."""
+    count = 0
+    for p in bits(pivots):
+        count |= g.adj[p]
+    return count
+
+
+def _last_pivot(g: Graph, pivots: int, k: int, walk):
+    """(path, p): the last path of a pivot-mode walk (`_paths` with
+    pivots and need k >= 3) and the least pivot p with k neighbours on
+    it; or (None, None) when the walk yields nothing.
+
+    p is the least pivot with a path in the walk, and path is p's first.
+    A yield leaves live only the pivots below the least one it finishes.
+    No pivot below p finishes anywhere, so p stays live until its first
+    path, which the walk reaches: its cuts drop only branches on which
+    no live pivot can reach k, and a yield changes no branch. That path
+    finishes p and leaves no live pivot that finishes, so it is last.
+    """
+    path = None
+    for path in walk:
+        pass
+    if path is None:
+        return None, None
+    on = mask_of(path)
+    return path, next(p for p in bits(pivots)
+                      if (g.adj[p] & on).bit_count() >= k)
+
+
 def _twin_reps(g: Graph, ends: int) -> int:
     """The least vertex of each class of ends with equal rows.
 
@@ -335,20 +362,39 @@ def _cycles(g: Graph, s: int, allowed: int, budget: SearchBudget,
                   need, pivots, one_way=True)
 
 
+def _holes(g: Graph, budget: SearchBudget, count: int = 0, need: int = 0,
+           pivots: int = 0):
+    """Yield every hole of g once, as [s, v1, ..., c] from its least
+    vertex s, with v1 < c (`_cycles`). A start with fewer than two
+    neighbours above it roots nothing, so it is skipped. With pivots, a
+    hole is yielded only if a live pivot has need neighbours on it, and
+    each start begins from the live set the one before it left, so the
+    starts act as one walk (`_paths`), which ends when no pivot is live.
+    """
+    full = (1 << g.n) - 1
+    live = pivots
+    for s in range(g.n):
+        if _above(s, g.adj[s]).bit_count() >= 2:
+            live = yield from _cycles(g, s, _above(s, full), budget, count,
+                                      need, live)
+            if pivots and not live:
+                return
+
+
 # -- symmetry -----------------------------------------------------------------
 
-def _tip_walk(gf: Graft, g: Graph, interior: int, count: int, need: int,
-              pivots: int, budget: SearchBudget):
+def _tip_walk(gf: Graft, g: Graph, count: int, pivots: int,
+              budget: SearchBudget):
     """Yield the paths of the one-way walk of gf's tip-to-tip paths in g
-    (`_paths` with gf's tips as ends), rooted at the least tip of each
-    class of tips with equal rows; or nothing, when a walk reduced by
-    gf's proven tip orbits shows that no path exists (`_tip_orbits`,
-    `_orbit_walk`).
+    (`_paths` with gf's tips as ends, every vertex of gf as interior and
+    need 3), rooted at the least tip of each class of tips with equal
+    rows; or nothing, when a walk reduced by gf's proven tip orbits
+    shows that no path exists (`_tip_orbits`, `_orbit_walk`).
 
     g is gf's graph, or gf's graph plus vertices that every
     tip-preserving automorphism of gf, extended to fix them, keeps, as
-    the apex z of `_apex_walk`. interior, count and pivots are kept by
-    those automorphisms too.
+    the apex z of `_apex_walk`. count and pivots are kept by those
+    automorphisms too.
 
     The least root, the least tip, is walked first and alone. If it
     yields, its walk goes on, and the other roots start from the live
@@ -359,12 +405,13 @@ def _tip_walk(gf: Graft, g: Graph, interior: int, count: int, need: int,
     path yielded is one the unreduced walk yields, in its order.
     """
     tm = gf.tip_mask
+    interior = (1 << gf.n) - 1
     roots = _twin_reps(g, tm)
     first = roots & -roots
     live = pivots
     if roots != first:
         before = budget.nodes
-        walk = _paths(g, [], first, interior, tm, budget, count, need, pivots,
+        walk = _paths(g, [], first, interior, tm, budget, count, 3, pivots,
                       one_way=True)
         path = next(walk, None)
         if path is not None:
@@ -375,17 +422,16 @@ def _tip_walk(gf: Graft, g: Graph, interior: int, count: int, need: int,
         else:
             reps = _tip_orbits(gf, roots.bit_count(), budget.nodes - before,
                                budget)
-            if reps is not None and not _orbit_walk(
-                    gf, g, reps, interior, count, need, pivots, budget):
+            if reps is not None and not _orbit_walk(gf, g, reps, count,
+                                                    pivots, budget):
                 return
         roots ^= first
-    yield from _paths(g, [], roots, interior, tm, budget, count, need, live,
+    yield from _paths(g, [], roots, interior, tm, budget, count, 3, live,
                       one_way=True)
 
 
-def _orbit_walk(gf: Graft, g: Graph, reps: list[int], interior: int,
-                count: int, need: int, pivots: int,
-                budget: SearchBudget) -> bool:
+def _orbit_walk(gf: Graft, g: Graph, reps: list[int], count: int,
+                pivots: int, budget: SearchBudget) -> bool:
     """Whether the walk rooted at one tip per proven tip orbit of gf
     finds a path of `_tip_walk`'s walk that the least tip's walk does
     not: with that walk, it decides whether the walk has any path.
@@ -399,16 +445,16 @@ def _orbit_walk(gf: Graft, g: Graph, reps: list[int], interior: int,
     closes on every other tip. A root's walk stops at its first path.
 
     Why it is exact. Take any tip-to-tip path P with a pivot p that has
-    need neighbours on it (or, without pivots, need vertices of count),
-    and an end a of P whose orbit's least member r is at most that of
-    the other end b. Some proven automorphism σ takes a to r. σ keeps
-    the tips, interior, the pivots, count and every vertex of g outside
-    gf, so σ(P) is a tip-to-tip path on which σ(p) has need neighbours.
-    Its end σ(b) is a tip other than r, in b's orbit, whose least member
-    is at least r, so root r's walk closes on σ(b). Before its first
-    yield every pivot is live and the cuts drop only branches that
-    cannot finish (`_paths`), so that walk, or the least tip's when r
-    is the least tip, yields σ(P) or an earlier path. And each path it
+    3 neighbours on it (or, without pivots, 3 vertices of count), and an
+    end a of P whose orbit's least member r is at most that of the
+    other end b. Some proven automorphism σ takes a to r. σ keeps the
+    tips, every vertex of gf, the pivots, count and every vertex of g
+    outside gf, so σ(P) is a tip-to-tip path on which σ(p) has 3
+    neighbours. Its end σ(b) is a tip other than r, in b's orbit, whose
+    least member is at least r, so root r's walk closes on σ(b). Before
+    its first yield every pivot is live and the cuts drop only branches
+    that cannot finish (`_paths`), so that walk, or the least tip's when
+    r is the least tip, yields σ(P) or an earlier path. And each path it
     yields is a path of the unreduced walk, as its closers are fewer.
     So a path exists exactly when one of the two walks yields.
     """
@@ -418,8 +464,8 @@ def _orbit_walk(gf: Graft, g: Graph, reps: list[int], interior: int,
     later = 0
     for r in sorted(orbit, reverse=True)[:-1]:
         later |= orbit[r]
-        walk = _paths(g, [], 1 << r, interior, later & ~(1 << r), budget,
-                      count, need, pivots)
+        walk = _paths(g, [], 1 << r, (1 << gf.n) - 1, later & ~(1 << r),
+                      budget, count, 3, pivots)
         if next(walk, None) is not None:
             return True
     return False
@@ -451,7 +497,7 @@ def _tip_orbits(gf: Graft, m: int, spent: int, budget: SearchBudget):
     """
     if spent * (m - 1) < 64 * gf.n:
         return None
-    (c,) = _refine((gf.graph,), [_initial(gf.graph, gf.tips, {})], budget)
+    c = _stable_coloring(gf, budget)
     if 2 * len({c[t] for t in gf.tips}) > m:
         return None
     return _orbits(gf, c, budget)[0]
@@ -487,20 +533,13 @@ def _canon_cycle(cyc: tuple[int, ...]) -> tuple[int, ...]:
 
 def find_hole(g: Graph, min_len: int = 4, budget=None):
     """Iterate every hole of length >= min_len, canonically ordered
-    (lowest vertex first, its lower cycle-neighbor second), each once.
-    """
+    (lowest vertex first, its lower cycle-neighbor second), each once
+    (`_holes`)."""
     if min_len < 4:
         raise InvalidArgumentError("holes have length at least 4")
     b = _budget_for(g, budget)
-    return _hole_iter(g, min_len, b)
-
-
-def _hole_iter(g: Graph, min_len: int, b: SearchBudget):
-    full = (1 << g.n) - 1
-    for s in range(g.n):
-        for cyc in _cycles(g, s, _above(s, full), b):
-            if len(cyc) >= min_len:
-                yield Witness("hole", tuple(cyc))
+    return (Witness("hole", tuple(cyc)) for cyc in _holes(g, b)
+            if len(cyc) >= min_len)
 
 
 def find_wheel(g: Graph, k: int = 3, budget=None, threads: int = 1):
@@ -527,8 +566,8 @@ def _wheel(g: Graph, k: int, budget: SearchBudget):
     increasing order, over the vertices other than h and the neighbours
     of h below a, with h's row as count; its first hole is the rim. That
     is the witness a search of every hub in increasing order gives, as
-    h is the first hub with a wheel. A wheel-free graft pays only for
-    the walk.
+    h is the first hub with a wheel (`_last_pivot`). A wheel-free graft
+    pays only for the walk.
     """
     h = _cycle_walk(g, k, budget)
     if h is None:
@@ -538,53 +577,22 @@ def _wheel(g: Graph, k: int, budget: SearchBudget):
     for a in bits(nh):
         allowed = full & ~(1 << h) & ~(nh & ((1 << a) - 1))
         for cyc in _cycles(g, a, allowed, budget, nh, k):
-            return _pivot_witness(g, "wheel", k, _canon_cycle(tuple(cyc)),
-                                  1 << h)
+            return _pivot_witness(g, "wheel", _canon_cycle(tuple(cyc)), h)
 
 
 def _cycle_walk(g: Graph, k: int, budget: SearchBudget):
     """The least vertex with k neighbours on a hole of g, `_wheel`'s
     hub, or None.
 
-    One pivot-mode walk (`_cycles`, `_paths` with pivots) meets every
-    hole once, from its least vertex s and in one direction, with every
-    vertex of degree >= k as a pivot and count the union of their rows.
-    Each start vertex begins from the live set the one before it left,
-    so the starts act as one search, which runs to the end or until no
-    pivot is live. A vertex on a hole has only two neighbours on it, so
-    a pivot with k >= 3 neighbours on a hole is off it: a hub.
-
-    This is `_fan`'s least-pivot argument. Let h be the least hub. A
-    yield drops the pivots at or above the least pivot it finishes,
-    which is a hub, so at least h: h stays live until a hole finishes
-    it. The cuts drop only branches on which no pivot can reach k, and
-    a yield changes no branch (`_paths`), so while h is live the walk
-    reaches every hole on which h has k neighbours, and the first one
-    finishes h. After that only pivots below h are live, and none of
-    them finishes. So h is the least pivot with k neighbours on the
-    last hole yielded, and if no hole is yielded there is no wheel.
+    One pivot-mode walk of the holes (`_holes`) meets every hole once,
+    with every vertex of degree >= k as a pivot, and names the least
+    pivot that has k neighbours on a hole (`_last_pivot`). A vertex on a
+    hole has only two neighbours on it, so a pivot with k >= 3
+    neighbours on a hole is off it: a hub.
     """
     pivots = _pivots(g, k)
-    count = 0
-    for p in bits(pivots):
-        count |= g.adj[p]
-    full = (1 << g.n) - 1
-
-    def walk():
-        live = pivots
-        for s in range(g.n):
-            # a hole's least vertex has two neighbours above it
-            if live and _above(s, g.adj[s]).bit_count() >= 2:
-                live = yield from _cycles(g, s, _above(s, full), budget,
-                                          count, k, live)
-
-    hole = None
-    for hole in walk():
-        pass
-    if hole is None:
-        return None
-    rim = mask_of(hole)
-    return next(p for p in bits(pivots) if (g.adj[p] & rim).bit_count() >= k)
+    walk = _holes(g, budget, _rows(g, pivots), k, pivots)
+    return _last_pivot(g, pivots, k, walk)[1] if pivots else None
 
 
 # -- thetas -----------------------------------------------------------------
@@ -626,11 +634,10 @@ def find_theta(g: Graph, budget=None):
 
 # -- fans, guarded fans, mountable paths -------------------------------------
 
-def _fan(gf: Graft, g: Graph, interior: int, pivots: int,
-         budget: SearchBudget):
+def _fan(gf: Graft, g: Graph, pivots: int, budget: SearchBudget):
     """The guarded fan with the least pivot of pivots that has one: an
     induced path with both ends tips of gf and its other vertices in
-    interior, plus a pivot off it with >= 3 neighbours on it; or None.
+    gf, plus a pivot off it with >= 3 neighbours on it; or None.
 
     g is gf's graph, or gf's graph plus an apex, as in `_apex_walk`. One
     search counts for every pivot at once (`_tip_walk`, `_paths` with
@@ -650,10 +657,8 @@ def _fan(gf: Graft, g: Graph, interior: int, pivots: int,
       k >= 3 a pivot on the path never finishes it, and the branches
       through p finish nothing for p. The first path that finishes p in
       the shared search is p's own first path.
-    - A pivot is dropped only when a smaller one finishes, so the least
-      pivot with a fan stays live until its first path, and every later
-      path finishes a pivot below the one before. The least pivot of
-      pivots with 3 neighbours on the last path is the one it finished.
+    - The least pivot with 3 neighbours on the last path is the least
+      pivot with a path, and that path is its first (`_last_pivot`).
 
     p's own search keeps its first path when it roots only the twin
     reps (`_twin_reps`), as the swap of two twin tips keeps the tips
@@ -666,25 +671,15 @@ def _fan(gf: Graft, g: Graph, interior: int, pivots: int,
     """
     if len(gf.tips) < 2 or not pivots:
         return None
-    count = 0
-    for p in bits(pivots):
-        count |= g.adj[p]
-    path = None
-    for path in _tip_walk(gf, g, interior, count, 3, pivots, budget):
-        pass
-    if path is None:
-        return None
-    return _pivot_witness(g, "guarded-fan", 3, path, pivots)
+    walk = _tip_walk(gf, g, _rows(g, pivots), pivots, budget)
+    path, p = _last_pivot(g, pivots, 3, walk)
+    return None if path is None else _pivot_witness(g, "guarded-fan", path, p)
 
 
-def _pivot_witness(g: Graph, kind: str, k: int, path, pivots: int):
-    """The witness of the given kind: path with the least pivot of
-    pivots that has >= k neighbours on it."""
-    for p in bits(pivots):
-        hit = tuple(v for v in path if g.adj[p] >> v & 1)
-        if len(hit) >= k:
-            return Witness(kind, tuple(path), center=p, k=len(hit),
-                           hits=hit)
+def _pivot_witness(g: Graph, kind: str, path, p: int):
+    """The witness of the given kind: path with pivot p."""
+    hit = tuple(v for v in path if g.adj[p] >> v & 1)
+    return Witness(kind, tuple(path), center=p, k=len(hit), hits=hit)
 
 
 def find_fan(g: Graph, k: int = 3, budget=None):
@@ -708,7 +703,7 @@ def find_fan(g: Graph, k: int = 3, budget=None):
         rest = full & ~(1 << p)
         for path in _paths(g, [], _twin_reps(g, rest), rest, rest, b,
                            g.adj[p], k, one_way=True):
-            return _pivot_witness(g, "fan", k, path, 1 << p)
+            return _pivot_witness(g, "fan", path, p)
     return None
 
 
@@ -719,7 +714,7 @@ def find_guarded_fan(gf: Graft, budget=None):
     automorphism keeps degrees, so it keeps the pivots."""
     g = gf.graph
     b = _budget_for(g, budget)
-    return _fan(gf, g, (1 << g.n) - 1, _pivots(g, 3), b)
+    return _fan(gf, g, _pivots(g, 3), b)
 
 
 def find_mountable_path(gf: Graft, budget=None):
@@ -741,7 +736,7 @@ def find_mountable_path(gf: Graft, budget=None):
     tm = gf.tip_mask
     if tm.bit_count() < 3:
         return None
-    path = next(_tip_walk(gf, g, (1 << g.n) - 1, tm, 3, 0, b), None)
+    path = next(_tip_walk(gf, g, tm, 0, b), None)
     if path is None:
         return None
     hit = tuple(u for u in path if tm >> u & 1)
@@ -841,7 +836,7 @@ def _apex_walk(gf: Graft, budget: SearchBudget):
     for t in gf.tips:
         adj[t] |= z
     adj.append(tm)
-    w = _fan(gf, Graph._raw(g.n + 1, adj), z - 1, pivots, budget)
+    w = _fan(gf, Graph._raw(g.n + 1, adj), pivots, budget)
     if w is not None and w.center == g.n:
         return Witness("mountable-path", w.vertices, hits=w.hits)
     return w

@@ -193,6 +193,15 @@ def test_graft_from_pair_tip_neighborhoods():
         assert gf.graph.neighborhood(p.graph.n + i) == s
 
 
+def test_graft_from_pair_pinned():
+    # sha256 of the level-5 pair graft's JSON, frozen so a faster
+    # builder must attach the tips byte for byte
+    gf = graft_from_pair(burling_pair(5))
+    text = graph_to_json(gf.graph, gf.tips)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3a06a8a3daf1e3b8bc62e5b4519b6c55968f815fbdbf0724e74bf19e3b773cd0")
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_equivalence_bijection(k):
     perm = check_equivalence(k)

@@ -11,7 +11,7 @@ from burling import (
     find_non_rainbow_coloring, build_graft, burling_pair,
 )
 from burling.bits import bits
-from burling.coloring import _search
+from burling.coloring import _greedy_clique, _search
 
 from conftest import make_random_graph
 
@@ -107,6 +107,47 @@ def test_bounds_classify_easy_cases(c5):
     assert bounds_only(Graph.from_edges(4, k4)) == (4, 4)
     assert bounds_only(Graph.from_edges(5, k5)) == (5, 5)
     assert bounds_only(Graph.from_edges(9, k4 + c5_beside)) == (4, 4)
+
+
+def bfs_bipartite(g: Graph) -> bool:
+    """Reference two-coloring by breadth-first search."""
+    side = [-1] * g.n
+    for s in range(g.n):
+        if side[s] >= 0:
+            continue
+        side[s], queue = 0, [s]
+        for v in queue:
+            for u in bits(g.adj[v]):
+                if side[u] < 0:
+                    side[u] = side[v] ^ 1
+                    queue.append(u)
+                elif side[u] == side[v]:
+                    return False
+    return True
+
+
+def test_lower_matches_bipartite_reference():
+    # the greedy DSATUR count stands in for a bipartite test in the
+    # lower bound; half the graphs are bipartite with many components
+    rng = random.Random(79)
+    bipartite = 0
+    for i in range(1500):
+        n = rng.randint(0, 14)
+        if i % 2:
+            side = [rng.getrandbits(1) for _ in range(n)]
+            p = rng.uniform(0.05, 0.5)
+            g = Graph.from_edges(n, [
+                (u, v) for u in range(n) for v in range(u + 1, n)
+                if side[u] != side[v] and rng.random() < p])
+        else:
+            g = make_random_graph(rng, n, p=rng.uniform(0.05, 0.5))
+        two = bfs_bipartite(g)
+        bipartite += two
+        c = len(_greedy_clique(g))
+        want = 3 if c < 3 and not two else c
+        lo, hi = bounds_only(g)
+        assert (hi <= 2) == two and lo == want, g.edges()
+    assert bipartite >= 800
 
 
 def test_bounds_scale_to_big_inputs():

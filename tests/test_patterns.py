@@ -5,6 +5,7 @@ oracle in test_oracle_equiv; here the focus is hand-built positives and
 negatives, witness validity, budgets, and determinism.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -56,20 +57,13 @@ def _induced_paths(g):
 def _kernel_by_contract(g, head, roots, interior, close, count, need):
     """What `_paths` yields, read off its docstring with no pruning:
     tails r..c from roots through interior to a closer, carrying need
-    vertices of count with the head, never entering a closer that would
-    finish the path; in DFS order, a node's closers before its
-    children."""
-    def hits(vs):
-        return sum(count >> u & 1 for u in vs)
-
+    vertices of count with the head; a closer in interior is entered
+    like any other vertex, even when it finished the path. In DFS
+    order, a node's closers before its children."""
     def fits(tail):
-        inner, c = tail[1:-1], tail[-1]
-        return (roots >> tail[0] & 1 and close >> c & 1
-                and all(interior >> u & 1 for u in inner)
-                and hits(head + tail) >= need
-                and not any(close >> u & 1
-                            and hits(head + tail[:i + 2]) >= need
-                            for i, u in enumerate(inner)))
+        return (roots >> tail[0] & 1 and close >> tail[-1] & 1
+                and all(interior >> u & 1 for u in tail[1:-1])
+                and sum(count >> u & 1 for u in head + tail) >= need)
 
     tails = sorted((t for t in _induced_paths(g) if fits(t)), key=_dfs_order)
     return [head + t for t in tails]
@@ -192,6 +186,29 @@ class TestHole:
 
     def test_six_cycle_count_in_petersen(self, petersen):
         assert len([w for w in holes(petersen, 6) if len(w.vertices) == 6]) == 10
+
+    @pytest.mark.parametrize("which, pinned", [
+        ("g3", (88, 141, "d4c3e4a005f8ec994a8a3c430669984927852d7c"
+                         "9208b613bfcbb9b85846825d")),
+        ("g4", (37090, 21994, "c16ccfff2dfd80ab1af41a5ee2026b3ade911e8d"
+                              "46948f88c3af09b5a1989868")),
+        ("small", (1679, 3405, "a5962172cb546c14c919af1f4b0148718d3eb777"
+                               "c10af376edc88cd2857ab121")),
+    ])
+    def test_holes_and_nodes_pinned(self, which, pinned):
+        # every hole in order, and the nodes the walk spends, frozen so a
+        # rewrite of the hole walk must keep both
+        if which == "small":
+            rng = random.Random(73)
+            graphs = [make_random_graph(rng, rng.randint(4, 12))
+                      for _ in range(300)]
+        else:
+            graphs = [build_graft(int(which[1]))[0].graph]
+        b = SearchBudget()
+        text = "".join(f"{' '.join(map(str, w.vertices))}\n"
+                       for g in graphs for w in find_hole(g, budget=b))
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert (text.count("\n"), b.nodes, digest) == pinned
 
     def test_hole_set_matches_subset_enumeration(self):
         # a cut that drops some hole shows here; first-witness checks miss it.

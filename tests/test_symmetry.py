@@ -189,7 +189,7 @@ class TestEqualityGate:
                 least = next(_paths(g, [], tm & -tm, full, tm, b, cnt, 3, piv,
                                     one_way=True), None)
                 got = least is not None or _orbit_walk(
-                    gf, g, orbits(gf, b)[0], full, cnt, 3, piv, b)
+                    gf, g, orbits(gf, b)[0], cnt, piv, b)
                 assert got == (want is not None), (g.edges(), sorted(gf.tips))
                 found += got
             reps, _ = orbits(gf, SearchBudget())
