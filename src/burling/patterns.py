@@ -35,11 +35,13 @@ least tip's walk shows that the orbit step pays, a tip-to-tip walk is
 first decided by a walk rooted at one tip per orbit of the graft's tip-
 preserving automorphisms, each orbit proven by explicit automorphisms
 (`iso.orbits`), and only a graft where that walk finds a path is walked
-again, unreduced, for the witness (`_tip_walk`). And `is_clean` decides
-conditions (4) and (5) with one walk of the tip-to-tip paths: a
-mountable path is a guarded fan whose pivot is an apex vertex joined to
-every tip (`_apex_walk`), so one shared-pivot search looks for both, and
-only a graft with a guarded fan is searched for a mountable path alone.
+again, unreduced, for the witness (`_tip_walk`). And every tip-to-tip
+question is one shared-pivot walk of the apex graft, the graft plus a
+vertex joined to exactly the tips (`_apex_walk`): a mountable path is a
+guarded fan whose pivot is that apex. `find_guarded_fan` walks with the
+graft's pivots, `find_mountable_path` with the apex alone, and
+`is_clean` decides conditions (4) and (5) with both at once; only a
+graft with a guarded fan is searched for a mountable path alone.
 """
 
 from __future__ import annotations
@@ -362,39 +364,46 @@ def _cycles(g: Graph, s: int, allowed: int, budget: SearchBudget,
                   need, pivots, one_way=True)
 
 
-def _holes(g: Graph, budget: SearchBudget, count: int = 0, need: int = 0,
-           pivots: int = 0):
+def _holes(g: Graph, budget: SearchBudget, need: int = 0, pivots: int = 0):
     """Yield every hole of g once, as [s, v1, ..., c] from its least
     vertex s, with v1 < c (`_cycles`). A start with fewer than two
     neighbours above it roots nothing, so it is skipped. With pivots, a
     hole is yielded only if a live pivot has need neighbours on it, and
     each start begins from the live set the one before it left, so the
     starts act as one walk (`_paths`), which ends when no pivot is live.
+
+    Each start counts the rows of its live pivots only (`_rows`), which
+    is all `_paths` asks of count, so a start after one that left fewer
+    pivots live cuts more: the cuts test no row of a pivot that can no
+    longer finish. A walk that yields nothing never shrinks the live
+    set, so it spends what a walk counting every pivot's row spends.
     """
     full = (1 << g.n) - 1
     live = pivots
+    count = _rows(g, live)
     for s in range(g.n):
         if _above(s, g.adj[s]).bit_count() >= 2:
-            live = yield from _cycles(g, s, _above(s, full), budget, count,
+            left = yield from _cycles(g, s, _above(s, full), budget, count,
                                       need, live)
-            if pivots and not live:
-                return
+            if left != live:
+                if not left:
+                    return
+                live, count = left, _rows(g, left)
 
 
 # -- symmetry -----------------------------------------------------------------
 
-def _tip_walk(gf: Graft, g: Graph, count: int, pivots: int,
-              budget: SearchBudget):
-    """Yield the paths of the one-way walk of gf's tip-to-tip paths in g
-    (`_paths` with gf's tips as ends, every vertex of gf as interior and
-    need 3), rooted at the least tip of each class of tips with equal
-    rows; or nothing, when a walk reduced by gf's proven tip orbits
-    shows that no path exists (`_tip_orbits`, `_orbit_walk`).
+def _tip_walk(gf: Graft, g: Graph, pivots: int, budget: SearchBudget):
+    """Yield the paths of the one-way pivot-mode walk of gf's tip-to-tip
+    paths in g (`_paths` with gf's tips as ends, every vertex of gf as
+    interior, need 3 and the pivots' rows as count), rooted at the least
+    tip of each class of tips with equal rows; or nothing, when a walk
+    reduced by gf's proven tip orbits shows that no path exists
+    (`_tip_orbits`, `_orbit_walk`).
 
-    g is gf's graph, or gf's graph plus vertices that every
-    tip-preserving automorphism of gf, extended to fix them, keeps, as
-    the apex z of `_apex_walk`. count and pivots are kept by those
-    automorphisms too.
+    g is the apex graft of `_apex_walk`: gf's graph plus a vertex that
+    every tip-preserving automorphism of gf, extended to fix it, keeps.
+    The pivots, and so count, are kept by those automorphisms too.
 
     The least root, the least tip, is walked first and alone. If it
     yields, its walk goes on, and the other roots start from the live
@@ -406,6 +415,7 @@ def _tip_walk(gf: Graft, g: Graph, count: int, pivots: int,
     """
     tm = gf.tip_mask
     interior = (1 << gf.n) - 1
+    count = _rows(g, pivots)
     roots = _twin_reps(g, tm)
     first = roots & -roots
     live = pivots
@@ -417,7 +427,7 @@ def _tip_walk(gf: Graft, g: Graph, count: int, pivots: int,
         if path is not None:
             yield path
             live = yield from walk
-            if pivots and not live:
+            if not live:
                 return
         else:
             reps = _tip_orbits(gf, roots.bit_count(), budget.nodes - before,
@@ -585,13 +595,14 @@ def _cycle_walk(g: Graph, k: int, budget: SearchBudget):
     hub, or None.
 
     One pivot-mode walk of the holes (`_holes`) meets every hole once,
-    with every vertex of degree >= k as a pivot, and names the least
-    pivot that has k neighbours on a hole (`_last_pivot`). A vertex on a
+    with every vertex of degree >= k as a pivot, each start counting
+    only the rows of the pivots still live, and names the least pivot
+    that has k neighbours on a hole (`_last_pivot`). A vertex on a
     hole has only two neighbours on it, so a pivot with k >= 3
     neighbours on a hole is off it: a hub.
     """
     pivots = _pivots(g, k)
-    walk = _holes(g, budget, _rows(g, pivots), k, pivots)
+    walk = _holes(g, budget, k, pivots)
     return _last_pivot(g, pivots, k, walk)[1] if pivots else None
 
 
@@ -634,16 +645,35 @@ def find_theta(g: Graph, budget=None):
 
 # -- fans, guarded fans, mountable paths -------------------------------------
 
-def _fan(gf: Graft, g: Graph, pivots: int, budget: SearchBudget):
-    """The guarded fan with the least pivot of pivots that has one: an
-    induced path with both ends tips of gf and its other vertices in
-    gf, plus a pivot off it with >= 3 neighbours on it; or None.
+def _apex_walk(gf: Graft, pivots: int, budget: SearchBudget):
+    """The guarded fan or mountable path of gf whose pivot is the least
+    of pivots that has one, as that pivot's own search gives it; or
+    None.
 
-    g is gf's graph, or gf's graph plus an apex, as in `_apex_walk`. One
-    search counts for every pivot at once (`_tip_walk`, `_paths` with
-    pivots), over each path in one direction, with count the union of
-    the pivots' rows, rooted only at the least tip of each class of
-    tips with equal rows. Its last path is the first path of the least
+    pivots are vertices of gf of degree >= 3, plus the apex bit z =
+    1 << n to ask for a mountable path; z is dropped when gf has fewer
+    than 3 tips. One walk answers (`_tip_walk`): a one-way walk of gf's
+    tip-to-tip paths on the apex graft gf+, gf plus the vertex z
+    adjacent to exactly the tips, that counts for every pivot at once
+    (`_paths` with pivots) and roots only the least tip of each class
+    of tips with equal rows. A path needs two ends, so with fewer tips
+    there is no search.
+
+    The apex. A mountable path is an induced path through >= 3 tips,
+    and every one contains one with tip ends, its stretch from its first
+    tip to its last: a tip-to-tip path on which z has >= 3 neighbours,
+    its tips. So z's own search, with the tips as ends and as count, is
+    the mountable-path search, and with fewer than 3 tips z never
+    finishes. z lies outside interior and outside the ends, so it is
+    banned from the first node: it is on no path, and the cuts never
+    count it. Only the tip rows gain z's bit, and that bit changes no
+    child, no cut, no twin class of tips and no tally of a pivot of gf.
+    So the paths are gf's, and a walk of gf's pivots spends on gf+ what
+    it spends on gf. With z as its one pivot, tally[j] holds z exactly
+    when the path carries j tips, so the walk finishes, cuts and spends
+    as the walk that counts tips alone, and it ends at its first path.
+
+    The least pivot. The walk's last path is the first path of the least
     pivot p that has one, in p's own search: the same call with only p,
     its row as count, and p cut out of interior and the tips. Fix a
     pivot p and first compare the two on the same roots:
@@ -664,16 +694,32 @@ def _fan(gf: Graft, g: Graph, pivots: int, budget: SearchBudget):
     reps (`_twin_reps`), as the swap of two twin tips keeps the tips
     and interior. And `_tip_walk` yields the same paths in the same
     order, or none when its walk reduced by the tip orbits shows that
-    there are none (`_orbit_walk`). So its last path, and the witness,
-    are p's.
-
-    A path needs two ends, so with fewer tips there is no search.
+    there are none (`_orbit_walk`). Each tip-preserving automorphism of
+    gf, extended to fix z, is one of gf+: it keeps the tips, so z's
+    row, and degrees, so the pivots. So the orbit argument holds on gf+
+    with gf's orbits, and the last path, and the witness, are p's: the
+    mountable path if p is z, the largest pivot, and so no pivot of gf
+    has a guarded fan; else p's guarded fan.
     """
-    if len(gf.tips) < 2 or not pivots:
+    g = gf.graph
+    tm = gf.tip_mask
+    z = 1 << g.n
+    if tm.bit_count() < 3:
+        pivots &= ~z
+    if tm.bit_count() < 2 or not pivots:
         return None
-    walk = _tip_walk(gf, g, _rows(g, pivots), pivots, budget)
-    path, p = _last_pivot(g, pivots, 3, walk)
-    return None if path is None else _pivot_witness(g, "guarded-fan", path, p)
+    adj = list(g.adj)
+    for t in gf.tips:
+        adj[t] |= z
+    adj.append(tm)
+    g = Graph._raw(g.n + 1, adj)
+    path, p = _last_pivot(g, pivots, 3, _tip_walk(gf, g, pivots, budget))
+    if path is None:
+        return None
+    w = _pivot_witness(g, "guarded-fan", path, p)
+    if p == gf.n:
+        return Witness("mountable-path", w.vertices, hits=w.hits)
+    return w
 
 
 def _pivot_witness(g: Graph, kind: str, path, p: int):
@@ -708,39 +754,25 @@ def find_fan(g: Graph, k: int = 3, budget=None):
 
 
 def find_guarded_fan(gf: Graft, budget=None):
-    """A fan whose path runs tip-to-tip, or None: one search for all
+    """A fan whose path runs tip-to-tip, or None: one walk for all
     pivots, the vertices of degree >= 3, decided first by a walk rooted
-    at one tip per proven tip orbit where that pays (`_fan`). Every
-    automorphism keeps degrees, so it keeps the pivots."""
+    at one tip per proven tip orbit where that pays (`_apex_walk`)."""
     g = gf.graph
-    b = _budget_for(g, budget)
-    return _fan(gf, g, _pivots(g, 3), b)
+    return _apex_walk(gf, _pivots(g, 3), _budget_for(g, budget))
 
 
 def find_mountable_path(gf: Graft, budget=None):
     """An induced path through >= 3 tips, or None.
 
     By minimality only paths with tip endpoints and exactly three tips
-    need searching: any longer offender contains one. Each path is
-    searched in one direction (`_paths`), and only the least tip of each
-    class of tips with equal rows is a root, which keeps the first path
-    (`_twin_reps`). The walk is `_tip_walk`'s, with the tips as count:
-    every tip-preserving automorphism keeps them, and carries a path
-    with three tips to another. So where the orbit step pays, a walk rooted
-    at one tip per proven tip orbit decides first whether any path
-    exists (`_orbit_walk`), and only if one does is the first path
-    walked for, exactly as without it.
+    need searching: any longer offender contains one. That search is the
+    guarded-fan walk with one pivot, an apex vertex joined to exactly
+    the tips (`_apex_walk`), so it walks each path in one direction,
+    roots one tip per class of twins, and where the orbit step pays, is
+    decided first by a walk rooted at one tip per proven tip orbit.
     """
     g = gf.graph
-    b = _budget_for(g, budget)
-    tm = gf.tip_mask
-    if tm.bit_count() < 3:
-        return None
-    path = next(_tip_walk(gf, g, tm, 0, b), None)
-    if path is None:
-        return None
-    hit = tuple(u for u in path if tm >> u & 1)
-    return Witness("mountable-path", tuple(path), hits=hit)
+    return _apex_walk(gf, 1 << g.n, _budget_for(g, budget))
 
 
 # -- the clean certifier ------------------------------------------------------
@@ -798,50 +830,6 @@ def _find_stable_violation(gf: Graft, budget: SearchBudget):
     return None if path is None else Witness("stable-violation", tuple(path))
 
 
-def _apex_walk(gf: Graft, budget: SearchBudget):
-    """gf's guarded fan or, if it has none, its mountable path, as
-    `find_guarded_fan` and `find_mountable_path` give them; or None.
-    Both come from one walk of the tip-to-tip paths: a guarded-fan
-    search (`_fan`) of the apex graft gf+, which is gf plus a vertex
-    z = n adjacent to exactly the tips, with the pivots of gf plus z
-    when gf has 3 or more tips. Only the tip rows gain z's bit.
-
-    A mountable path is an induced path through >= 3 tips, and every
-    one contains one with tip ends, its stretch from its first tip to
-    its last: a tip-to-tip path on which z has >= 3 neighbours. z lies
-    in neither the ends nor the interior, so it is on no path: the
-    paths are those of gf, and each pivot of gf has the same neighbours
-    on them. The walk's last path is the first path of its least pivot
-    p with a fan, in p's own search (`_fan`). If p is a pivot of gf,
-    that search is the same on gf+ as on gf, so the witness is
-    `find_guarded_fan`'s. If p is z, the largest pivot, gf has no
-    guarded fan, and z's own search, with the tips as ends and count,
-    is `find_mountable_path`'s: the path is its witness, and z's
-    neighbours on it are its tips.
-
-    The walk may be decided first by one rooted at one tip per proven
-    tip orbit of gf (`_tip_walk`). Each tip-preserving automorphism of
-    gf, extended to fix z, is one of gf+: it keeps the tips, so z's
-    row, and it keeps the pivots of gf, so those of gf+. So the orbit
-    argument of `_orbit_walk` holds on gf+ with gf's orbits, and the
-    witness is the same.
-    """
-    g = gf.graph
-    tm = gf.tip_mask
-    z = 1 << g.n
-    pivots = _pivots(g, 3)
-    if tm.bit_count() >= 3:
-        pivots |= z
-    adj = list(g.adj)
-    for t in gf.tips:
-        adj[t] |= z
-    adj.append(tm)
-    w = _fan(gf, Graph._raw(g.n + 1, adj), pivots, budget)
-    if w is not None and w.center == g.n:
-        return Witness("mountable-path", w.vertices, hits=w.hits)
-    return w
-
-
 def is_clean(gf: Graft, budget=None) -> CleanReport:
     """Certify the five clean conditions, each exhaustively (or raise
     SearchBudgetExceeded; a truncated search never reports holds).
@@ -851,8 +839,8 @@ def is_clean(gf: Graft, budget=None) -> CleanReport:
     Only the walk of (4) and (5) takes an orbit step, and only where
     the least tip's walk shows that it pays (`_tip_walk`).
 
-    Conditions (4) and (5) walk one tree (`_apex_walk`), and its nodes
-    count on (4). If it finds nothing, both hold, and (5) reports 0. If
+    Conditions (4) and (5) walk one tree (`_apex_walk`, with gf's
+    pivots and the apex), and its nodes count on (4). If it finds nothing, both hold, and (5) reports 0. If
     it finds a mountable path, (4) holds and (5) fails with that path,
     reporting 0. Only when it finds a guarded fan does (5) search alone
     (`find_mountable_path`). Every witness is the one the detector for
@@ -869,7 +857,7 @@ def is_clean(gf: Graft, budget=None) -> CleanReport:
     v1 = run(find_triangle, g)
     v2 = run(_find_stable_violation, gf)
     v3 = run(_wheel, g, 3)
-    v4 = run(_apex_walk, gf)
+    v4 = run(_apex_walk, gf, _pivots(g, 3) | 1 << g.n)
     w = v4.witness
     if w is None:
         v5 = Verdict(True, None, 0)

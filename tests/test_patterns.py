@@ -562,6 +562,14 @@ class TestApexWalk:
             grafts.append(Graft(g, frozenset(rng.sample(range(n), 2))))
         fans, paths = fans_and_paths(grafts)
         assert fans >= 30 and paths == 0
+        # so the mountable-path search spends nothing, and (4) walks as
+        # the guarded-fan search does
+        for gf in grafts:
+            fan, path = SearchBudget(), SearchBudget()
+            find_guarded_fan(gf, budget=fan)
+            find_mountable_path(gf, budget=path)
+            assert path.nodes == 0
+            assert is_clean(gf).no_guarded_fan.nodes == fan.nodes
 
     def test_fan_and_mountable_path_together(self):
         # 0-1-2-3-4 runs through three tips, and 5 guards it

@@ -112,6 +112,13 @@ def both(gf, budget=None, kinds=("wheel", "wheel4", "fan", "guarded-fan",
             for kind in kinds}
 
 
+def apex_graph(gf):
+    """gf's graph plus a vertex z = n adjacent to exactly the tips."""
+    g, tm = gf.graph, gf.tip_mask
+    return Graph.from_adj([row | 1 << g.n if tm >> v & 1 else row
+                           for v, row in enumerate(g.adj)] + [tm])
+
+
 def with_twins(rng, g, clones):
     """g plus `clones` twin copies of random vertices."""
     adj = list(g.adj)
@@ -181,21 +188,24 @@ class TestEqualityGate:
                 count |= g.adj[p]
             cases = []
             if tm.bit_count() >= 2 and pivots:
-                cases.append((count, pivots, find_guarded_fan(gf)))
+                cases.append((g, count, pivots, find_guarded_fan(gf)))
             if tm.bit_count() >= 3:
-                cases.append((tm, 0, find_mountable_path(gf)))
-            for cnt, piv, want in cases:
+                # count mode, and the apex pivot on the apex graft
+                path = find_mountable_path(gf)
+                cases.append((g, tm, 0, path))
+                cases.append((apex_graph(gf), tm, 1 << g.n, path))
+            for h, cnt, piv, want in cases:
                 b = SearchBudget()
-                least = next(_paths(g, [], tm & -tm, full, tm, b, cnt, 3, piv,
+                least = next(_paths(h, [], tm & -tm, full, tm, b, cnt, 3, piv,
                                     one_way=True), None)
                 got = least is not None or _orbit_walk(
-                    gf, g, orbits(gf, b)[0], cnt, piv, b)
+                    gf, h, orbits(gf, b)[0], cnt, piv, b)
                 assert got == (want is not None), (g.edges(), sorted(gf.tips))
                 found += got
             reps, _ = orbits(gf, SearchBudget())
             symmetric += (len({reps[t] for t in gf.tips})
                           < _twin_reps(g, tm).bit_count())
-        assert found >= 700 and symmetric >= 140, (found, symmetric)
+        assert found >= 1200 and symmetric >= 140, (found, symmetric)
 
     def test_triangle(self):
         found = 0
@@ -546,6 +556,27 @@ class TestG4WithinBudget:
         b = SearchBudget(100_000)
         assert find_wheel(g, 3, budget=b) is None
         assert b.nodes == 46_885
+
+    @pytest.mark.parametrize("which, nodes", [("g4", 20_746),
+                                              ("T5", 56_809)])
+    def test_tip_walk_nodes(self, which, nodes):
+        # the guarded-fan and the mountable-path walk spend alike
+        gf = build_graft(4)[0] if which == "g4" else level_five_template()
+        for search in (find_guarded_fan, find_mountable_path):
+            b = SearchBudget()
+            assert search(gf, budget=b) is None
+            assert b.nodes == nodes, search.__name__
+
+    @pytest.mark.parametrize("edge, nodes", [((6, 127), 18_603),
+                                             ((48, 249), 20_354)])
+    def test_wheel_walk_counts_only_live_rows(self, edge, nodes):
+        # once a start leaves fewer pivots live, the hole walk counts
+        # only their rows, so its cuts prune more
+        g = g4_plus(*edge).graph
+        b = SearchBudget()
+        w = find_wheel(g, 3, budget=b)
+        assert w == ref_wheel(g, 3, SearchBudget())
+        assert b.nodes == nodes
 
     def test_wheel(self, monkeypatch):
         # the cycle walk alone proves g4 wheel-free; with a wheel, it
