@@ -7,9 +7,9 @@ one table shared by both graphs so colors stay comparable. When classes
 stop splitting, the map that pairs each class's members in increasing
 order is tried first; if it fails its edge check, the smallest
 non-singleton class is split by individualization and the search
-branches. `orbits` runs the same search on two copies of one graft to
-find automorphisms, which the detectors use to skip symmetric search
-roots.
+branches. `orbits` refines one graft, then runs the same search on
+two copies of it to find automorphisms, which the tip-to-tip walks use
+to filter their roots to one tip per orbit.
 """
 
 from __future__ import annotations
@@ -135,26 +135,15 @@ def orbits(gf: Graft, budget) -> tuple[list[int], list[tuple[int, ...]]]:
     takes v to w. A map joins orbits only after it is checked edge by
     edge and tip by tip, so vertices that share a rep are mapped to each
     other by an automorphism. Orbits may be finer than the true ones,
-    but never coarser.
+    but never coarser, so a walk rooted at each orbit's rep is never
+    short of a root (`patterns._tip_walk`).
 
     Every refinement round spends one node per vertex on budget before
     it runs, so the work stops at the budget's limit.
     """
-    return _orbits(gf, _stable_coloring(gf, budget), budget)
-
-
-def _stable_coloring(gf: Graft, budget) -> list[int]:
-    """The stable refinement of gf's initial coloring, by degree and tip
-    membership, spending on budget as `_refine` says."""
-    (c,) = _refine((gf.graph,), [_initial(gf.graph, gf.tips, {})], budget)
-    return c
-
-
-def _orbits(gf: Graft, c: list[int], budget):
-    """`orbits` from c, gf's stable coloring (`_stable_coloring`), for a
-    caller that has refined gf already."""
     g = gf.graph
     tips = gf.tip_mask
+    (c,) = _refine((g,), [_initial(g, gf.tips, {})], budget)
     reps = list(range(g.n))
     maps = []
 

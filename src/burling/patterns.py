@@ -31,17 +31,18 @@ least hub with a wheel by the rule every shared-pivot walk uses
 walked in one direction (`_paths` with one_way), and fan and tip-to-tip
 walks root only the least end of each class of twins, ends with equal
 rows, as swapping two twins is an automorphism (`_twin_reps`). Where the
-least tip's walk shows that the orbit step pays, a tip-to-tip walk is
-first decided by a walk rooted at one tip per orbit of the graft's tip-
-preserving automorphisms, each orbit proven by explicit automorphisms
-(`iso.orbits`), and only a graft where that walk finds a path is walked
-again, unreduced, for the witness (`_tip_walk`). And every tip-to-tip
-question is one shared-pivot walk of the apex graft, the graft plus a
-vertex joined to exactly the tips (`_apex_walk`): a mountable path is a
-guarded fan whose pivot is that apex. `find_guarded_fan` walks with the
-graft's pivots, `find_mountable_path` with the apex alone, and
-`is_clean` decides conditions (4) and (5) with both at once; only a
-graft with a guarded fan is searched for a mountable path alone.
+least tip's walk shows that the orbit step pays, the tip-to-tip walk
+is first run with its roots filtered to the least tip of each orbit of
+the graft's tip-preserving automorphisms, each orbit proven by explicit
+automorphisms (`iso.orbits`), and only a graft where that walk finds a
+path is walked again, unfiltered, for the witness (`_tip_walk`). And
+every tip-to-tip question is one shared-pivot walk of the apex graft,
+the graft plus a vertex joined to exactly the tips (`_apex_walk`): a
+mountable path is a guarded fan whose pivot is that apex.
+`find_guarded_fan` walks with the graft's pivots, `find_mountable_path`
+with the apex alone, and `is_clean` decides conditions (4) and (5) with
+both at once; only a graft with a guarded fan is searched for a
+mountable path alone.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from typing import ClassVar
 
 from .bits import bits, mask_of
 from .graph import Graph, Graft
-from .iso import _orbits, _stable_coloring
+from .iso import orbits
 from .witness import Witness
 from .errors import (
     InvalidArgumentError, BudgetRequiredError, SearchBudgetExceeded,
@@ -72,11 +73,11 @@ class SearchBudget:
     """Node-tick accounting shared by the detectors.
 
     The search kernel spends one node on every node it searches, and
-    each refinement round of a tip walk's orbit step (`_tip_orbits`),
-    whose first round also decides whether the step is taken, one node
-    per vertex it recolors. A search raises on its first node past the
-    limit, and then nodes is limit + 1. limit None means unlimited; nodes still
-    accumulates so callers can report how much work a verdict took.
+    each refinement round of a tip walk's orbit step (`_tip_walk`,
+    `iso.orbits`) one node per vertex it recolors. A search raises on
+    its first node past the limit, and then nodes is limit + 1. limit
+    None means unlimited; nodes still accumulates so callers can report
+    how much work a verdict took.
     """
 
     __slots__ = ("limit", "nodes")
@@ -396,121 +397,76 @@ def _holes(g: Graph, budget: SearchBudget, need: int = 0, pivots: int = 0):
 def _tip_walk(gf: Graft, g: Graph, pivots: int, budget: SearchBudget):
     """Yield the paths of the one-way pivot-mode walk of gf's tip-to-tip
     paths in g (`_paths` with gf's tips as ends, every vertex of gf as
-    interior, need 3 and the pivots' rows as count), rooted at the least
-    tip of each class of tips with equal rows; or nothing, when a walk
-    reduced by gf's proven tip orbits shows that no path exists
-    (`_tip_orbits`, `_orbit_walk`).
+    interior, need 3 and the live pivots' rows as count), rooted at the
+    least tip of each class of tips with equal rows; or nothing, when
+    the same walk rooted at one tip per proven tip orbit finds no path.
 
     g is the apex graft of `_apex_walk`: gf's graph plus a vertex that
     every tip-preserving automorphism of gf, extended to fix it, keeps.
-    The pivots, and so count, are kept by those automorphisms too.
+    The pivots, and so their rows, are kept by those automorphisms too.
 
     The least root, the least tip, is walked first and alone. If it
     yields, its walk goes on, and the other roots start from the live
-    set it left, as in one `_paths` call over every root. If it yields
-    nothing, the live set is still pivots, and one call walks the other
-    roots exactly as that call would, unless the orbit step pays
-    (`_tip_orbits`) and the reduced walk finds no path. So every
+    set it left, counting only its rows, as in one `_paths` call over
+    every root. If it yields nothing, the live set is still pivots, and
+    one call walks the other roots exactly as that call would, unless
+    the orbit step is taken and its reduced walk finds no path. So every
     path yielded is one the unreduced walk yields, in its order.
+
+    The reduced walk roots the least tip r of each tip orbit that gf's
+    proven automorphisms (`iso.orbits`) give, each merge checked edge by
+    edge and tip by tip, but the least tip, and stops at its first
+    path. Take any tip-to-tip path P with a pivot p that has 3
+    neighbours on it, and an end a of P whose orbit's least member r is
+    at most that of the other end b. Some proven automorphism σ takes a
+    to r. σ keeps the tips, every vertex of gf, the pivots and their
+    rows, so σ(P) is a tip-to-tip path on which σ(p) has 3 neighbours.
+    Its end σ(b) is a tip of b's orbit other than r, so it lies above
+    r, and it is not a neighbour of r, as σ(P) has at least 3 vertices.
+    If r is the least tip, the least tip's walk, which yielded nothing,
+    would have met σ(P). Otherwise the one-way walk from r closes on
+    σ(b), and before its first yield every pivot is live and the cuts
+    drop only branches that cannot finish (`_paths`), so it yields σ(P)
+    or an earlier path. And a path it yields is a path of the walk. So
+    a path exists exactly when one of the two walks yields.
+
+    The orbit step pays where the walk left is long. The least tip's
+    walk is the same with or without it, so it measures the walk left:
+    about the nodes it spent for each of the other m - 1 roots, one per
+    class of twin tips. A refinement round spends one node per vertex of
+    gf, and the orbit step costs about 64 rounds on g4 and T5 (19,158
+    nodes, 62 n, on g4; 42,375, 75 n, on T5). So the step is taken only
+    when spent * (m - 1) >= 64 n. On certify's mid-size fuzz grafts the
+    walk left is 10 n to 34 n. On g4 it is 78 n, and the 128 roots fall
+    into 8 orbits; on T5 it is 418 n, and 256 roots fall into 16. The
+    orbit step spends on budget before each refinement round, so a limit
+    stops it as it stops the kernel.
     """
     tm = gf.tip_mask
-    interior = (1 << gf.n) - 1
-    count = _rows(g, pivots)
+
+    def walk(roots, live):
+        return _paths(g, [], roots, (1 << gf.n) - 1, tm, budget,
+                      _rows(g, live), 3, live, one_way=True)
+
     roots = _twin_reps(g, tm)
     first = roots & -roots
     live = pivots
     if roots != first:
         before = budget.nodes
-        walk = _paths(g, [], first, interior, tm, budget, count, 3, pivots,
-                      one_way=True)
-        path = next(walk, None)
+        paths = walk(first, pivots)
+        path = next(paths, None)
         if path is not None:
             yield path
-            live = yield from walk
+            live = yield from paths
             if not live:
                 return
-        else:
-            reps = _tip_orbits(gf, roots.bit_count(), budget.nodes - before,
-                               budget)
-            if reps is not None and not _orbit_walk(gf, g, reps, count,
-                                                    pivots, budget):
+        elif (budget.nodes - before) * (roots.bit_count() - 1) >= 64 * gf.n:
+            reps = orbits(gf, budget)[0]
+            reduced = mask_of(reps[t] for t in gf.tips) & ~first
+            if next(walk(reduced, pivots), None) is None:
                 return
         roots ^= first
-    yield from _paths(g, [], roots, interior, tm, budget, count, 3, live,
-                      one_way=True)
-
-
-def _orbit_walk(gf: Graft, g: Graph, reps: list[int], count: int,
-                pivots: int, budget: SearchBudget) -> bool:
-    """Whether the walk rooted at one tip per proven tip orbit of gf
-    finds a path of `_tip_walk`'s walk that the least tip's walk does
-    not: with that walk, it decides whether the walk has any path.
-
-    The walk. reps are the proven orbits of gf's tip-preserving
-    automorphisms (`iso.orbits`), each merge by a map checked edge by
-    edge and tip by tip, and each orbit's rep is its least member. Each
-    tip orbit's least tip r is a root, and closes on every tip other
-    than r whose orbit's least member is at least r; every such tip lies
-    above r. The least tip's orbit is left out, as its least tip's walk
-    closes on every other tip. A root's walk stops at its first path.
-
-    Why it is exact. Take any tip-to-tip path P with a pivot p that has
-    3 neighbours on it (or, without pivots, 3 vertices of count), and an
-    end a of P whose orbit's least member r is at most that of the
-    other end b. Some proven automorphism σ takes a to r. σ keeps the
-    tips, every vertex of gf, the pivots, count and every vertex of g
-    outside gf, so σ(P) is a tip-to-tip path on which σ(p) has 3
-    neighbours. Its end σ(b) is a tip other than r, in b's orbit, whose
-    least member is at least r, so root r's walk closes on σ(b). Before
-    its first yield every pivot is live and the cuts drop only branches
-    that cannot finish (`_paths`), so that walk, or the least tip's when
-    r is the least tip, yields σ(P) or an earlier path. And each path it
-    yields is a path of the unreduced walk, as its closers are fewer.
-    So a path exists exactly when one of the two walks yields.
-    """
-    orbit: dict[int, int] = {}
-    for t in bits(gf.tip_mask):
-        orbit[reps[t]] = orbit.get(reps[t], 0) | 1 << t
-    later = 0
-    for r in sorted(orbit, reverse=True)[:-1]:
-        later |= orbit[r]
-        walk = _paths(g, [], 1 << r, (1 << gf.n) - 1, later & ~(1 << r),
-                      budget, count, 3, pivots)
-        if next(walk, None) is not None:
-            return True
-    return False
-
-
-def _tip_orbits(gf: Graft, m: int, spent: int, budget: SearchBudget):
-    """`_tip_walk`'s orbit step: the reps of gf's proven orbits
-    (`iso.orbits`), or None where the step would not pay. gf's tips
-    form m twin classes, and the least tip's walk spent `spent` nodes
-    and yielded nothing.
-
-    That walk is the same with or without the step, so it measures the
-    walk left: about spent nodes for each of the other m - 1 roots. A
-    refinement round spends one node per vertex of gf, and the orbit
-    step costs about 64 rounds on g4 and T5 (19,158 nodes, 62 n, on g4;
-    42,375, 75 n, on T5). So gf is refined, on budget, only when
-    spent * (m - 1) >= 64 n. Proven orbits are never coarser than the
-    refined cells, so the reduced walk keeps at least one root per tip
-    cell, and the step goes on only if refinement puts the tips in at
-    most m / 2 cells. That refinement is the orbit step's own first
-    one, so the step goes on from it (`iso._orbits`).
-
-    On certify's mid-size fuzz grafts the walk left is 10 n to 34 n, and
-    refinement would keep all but 1-4 of their 22-33 roots. On g4 it is
-    78 n, and the 128 roots fall into 8 cells; on T5 it is 418 n, and
-    256 roots fall into 16. Refinement and the orbit step spend on
-    budget before each round, so a limit stops them as it stops the
-    kernel.
-    """
-    if spent * (m - 1) < 64 * gf.n:
-        return None
-    c = _stable_coloring(gf, budget)
-    if 2 * len({c[t] for t in gf.tips}) > m:
-        return None
-    return _orbits(gf, c, budget)[0]
+    yield from walk(roots, live)
 
 
 # -- triangles, holes and wheels ----------------------------------------------
@@ -693,8 +649,8 @@ def _apex_walk(gf: Graft, pivots: int, budget: SearchBudget):
     p's own search keeps its first path when it roots only the twin
     reps (`_twin_reps`), as the swap of two twin tips keeps the tips
     and interior. And `_tip_walk` yields the same paths in the same
-    order, or none when its walk reduced by the tip orbits shows that
-    there are none (`_orbit_walk`). Each tip-preserving automorphism of
+    order, or none when its walk rooted at one tip per tip orbit shows
+    that there are none. Each tip-preserving automorphism of
     gf, extended to fix z, is one of gf+: it keeps the tips, so z's
     row, and degrees, so the pivots. So the orbit argument holds on gf+
     with gf's orbits, and the last path, and the witness, are p's: the

@@ -27,12 +27,12 @@ from burling import (
     find_triangle, find_wheel, find_fan, find_guarded_fan,
     find_mountable_path,
 )
-from burling.bits import bits
+from burling.bits import bits, mask_of
 from burling.fuzz import generate_sequence, run_sequence
 from burling.iso import _initial, _refine, orbits
 from burling.ops import apply_op
 from burling.patterns import (
-    _canon_cycle, _cycle_walk, _cycles, _orbit_walk, _paths, _pivots, _twin_reps,
+    _canon_cycle, _cycle_walk, _cycles, _paths, _pivots, _twin_reps,
 )
 
 from conftest import make_random_graph
@@ -176,8 +176,9 @@ class TestEqualityGate:
 
     def test_orbit_walk_decides_as_the_unreduced_walk(self):
         # the detectors take the orbit step only on large grafts; here
-        # the reduced walk runs on every gate graft, beside the least
-        # tip's walk, and must find a path exactly when one exists
+        # the walk rooted at the least tip of each proven tip orbit but
+        # the least tip runs on every gate graft, beside the least tip's
+        # walk, and must find a path exactly when one exists
         found = symmetric = 0
         for gf in gate_grafts():
             g, tm = gf.graph, gf.tip_mask
@@ -186,6 +187,9 @@ class TestEqualityGate:
             count = 0
             for p in bits(pivots):
                 count |= g.adj[p]
+            reps, _ = orbits(gf, SearchBudget())
+            first = tm & -tm
+            reduced = mask_of(reps[t] for t in gf.tips) & ~first
             cases = []
             if tm.bit_count() >= 2 and pivots:
                 cases.append((g, count, pivots, find_guarded_fan(gf)))
@@ -195,14 +199,12 @@ class TestEqualityGate:
                 cases.append((g, tm, 0, path))
                 cases.append((apex_graph(gf), tm, 1 << g.n, path))
             for h, cnt, piv, want in cases:
-                b = SearchBudget()
-                least = next(_paths(h, [], tm & -tm, full, tm, b, cnt, 3, piv,
-                                    one_way=True), None)
-                got = least is not None or _orbit_walk(
-                    gf, h, orbits(gf, b)[0], cnt, piv, b)
+                got = any(
+                    next(_paths(h, [], roots, full, tm, SearchBudget(), cnt, 3,
+                                piv, one_way=True), None) is not None
+                    for roots in (first, reduced))
                 assert got == (want is not None), (g.edges(), sorted(gf.tips))
                 found += got
-            reps, _ = orbits(gf, SearchBudget())
             symmetric += (len({reps[t] for t in gf.tips})
                           < _twin_reps(g, tm).bit_count())
         assert found >= 1200 and symmetric >= 140, (found, symmetric)
@@ -288,6 +290,19 @@ class TestSharedPivotSearch:
         want = ref_fan(g, "guarded-fan", 3, gf.tip_mask, SearchBudget())
         assert want.center == 4
         assert find_guarded_fan(gf) == want
+
+    def test_later_roots_count_only_live_rows(self):
+        # gate graft 3: every vertex is a tip, and the least tip's walk
+        # finishes pivot 1, which leaves only pivot 0 live, so the roots
+        # after it count only pivot 0's row (170 nodes counting every
+        # pivot's row)
+        gf = gate_grafts()[3]
+        b = SearchBudget()
+        w = find_guarded_fan(gf, budget=b)
+        assert w == ref_fan(gf.graph, "guarded-fan", 3, gf.tip_mask,
+                            SearchBudget())
+        assert w.center == 1 and w.vertices[0] == 0
+        assert b.nodes == 106
 
 
 # -- the orbit certificate ---------------------------------------------------
@@ -395,13 +410,13 @@ def pair5():
 def recorded(monkeypatch):
     """Record the grafts the detectors compute orbits of."""
     calls = []
-    real = burling.patterns._orbits
+    real = burling.patterns.orbits
 
-    def orbits_recorded(gf, c, budget):
+    def orbits_recorded(gf, budget):
         calls.append(gf)
-        return real(gf, c, budget)
+        return real(gf, budget)
 
-    monkeypatch.setattr(burling.patterns, "_orbits", orbits_recorded)
+    monkeypatch.setattr(burling.patterns, "orbits", orbits_recorded)
     return calls
 
 
@@ -474,8 +489,7 @@ class TestOrbitBudget:
 
     def test_limit_inside_the_tip_orbit_step(self, monkeypatch):
         # g4's least tip walks 191 nodes; the orbit step, about 19,000
-        # nodes with its first refinement of 618, which decides that the
-        # step is taken, is charged to the same limit
+        # nodes, is charged to the same limit
         calls = recorded(monkeypatch)
         g4, _ = build_graft(4)
         b = SearchBudget(5_000)
@@ -512,6 +526,18 @@ def mid_graft():
             return Graft(g, frozenset(tips))
 
 
+def g4_with_k4_and_k33():
+    """g4 plus a K4 and then a K3,3, every vertex of both a tip. Both are
+    3-regular, so refinement leaves their ten vertices in one cell, but
+    no automorphism maps a vertex of one into the other."""
+    g4, _ = build_graft(4)
+    n = g4.n
+    k4 = [(n + a, n + b) for a, b in itertools.combinations(range(4), 2)]
+    k33 = [(n + 4 + a, n + 7 + b) for a in range(3) for b in range(3)]
+    return Graft(Graph.from_edges(n + 10, g4.graph.edges() + k4 + k33),
+                 g4.tips | set(range(n, n + 10)))
+
+
 def level_five_template():
     """T5, the template of level 5: g4 with every tip cloned and every
     clone given a pendant, in build_graft's order of ops."""
@@ -542,12 +568,11 @@ class TestG4WithinBudget:
 
     def test_level_five_template_is_clean(self):
         # the apex walk spends 926 nodes on the least tip, 42,375 on the
-        # orbit step, whose first refinement of 1,695 decides that it is
-        # taken, and 13,508 on the walk rooted at the other 15 tip
-        # orbits, against 217,017 unreduced
+        # orbit step and 13,526 on the one-way walk rooted at the least
+        # tips of the other 15 tip orbits, against 217,017 unreduced
         rep = is_clean(level_five_template(), budget=1_000_000)
         assert rep.all_hold
-        assert [v.nodes for _, v in rep.items()] == [1486, 256, 46885, 56809,
+        assert [v.nodes for _, v in rep.items()] == [1486, 256, 46885, 56827,
                                                      0]
 
     def test_level_five_template_is_wheel_free(self):
@@ -558,7 +583,7 @@ class TestG4WithinBudget:
         assert b.nodes == 46_885
 
     @pytest.mark.parametrize("which, nodes", [("g4", 20_746),
-                                              ("T5", 56_809)])
+                                              ("T5", 56_827)])
     def test_tip_walk_nodes(self, which, nodes):
         # the guarded-fan and the mountable-path walk spend alike
         gf = build_graft(4)[0] if which == "g4" else level_five_template()
@@ -613,8 +638,8 @@ class TestTipOrbits:
         assert calls == [g4, g4, t5]
 
     def test_mid_and_fuzz_grafts_take_none(self, monkeypatch):
-        # the mid graft's walk left is 28 n and refinement keeps 25 of
-        # its 28 tip roots; the fuzz grafts' walks are a few nodes
+        # the mid graft's walk left is 28 n, below the 64 n the orbit
+        # step costs; the fuzz grafts' walks are a few nodes
         calls = recorded(monkeypatch)
         gf = mid_graft()
         assert (gf.n, len(gf.tips)) == (123, 53)
@@ -633,6 +658,23 @@ class TestTipOrbits:
         assert w == ref_fan(gf.graph, "guarded-fan", 3, gf.tip_mask,
                             SearchBudget())
         assert w.center == 0 and validate_witness(gf.graph, gf.tips, w)
+
+    def test_orbits_finer_than_refinement_cells(self, monkeypatch):
+        # the mountable paths lie in the K3,3, whose tips share a
+        # refinement cell with the K4's tips, which come first, but no
+        # orbit, so a walk rooted at the least tip of each cell would
+        # miss them
+        gf = g4_with_k4_and_k33()
+        n = gf.n - 10
+        (c,) = _refine((gf.graph,), [_initial(gf.graph, gf.tips, {})])
+        reps, _ = orbits(gf, SearchBudget())
+        assert len({c[v] for v in range(n, n + 10)}) == 1
+        assert min(reps[v] for v in range(n + 4, n + 10)) == n + 4
+        calls = recorded(monkeypatch)
+        w = find_mountable_path(gf, budget=SearchBudget(100_000))
+        assert calls == [gf]
+        assert w.vertices == (n + 4, n + 7, n + 5)
+        assert validate_witness(gf.graph, gf.tips, w)
 
     def test_symmetric_graft_with_a_mountable_path(self, monkeypatch):
         calls = recorded(monkeypatch)
