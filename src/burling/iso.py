@@ -126,17 +126,21 @@ def orbits(gf: Graft, budget) -> tuple[list[int], list[tuple[int, ...]]]:
     are the automorphisms that prove it.
 
     Refine the graph, with tips and non-tips told apart from the start.
-    In each cell, try the least vertex v against each other member w
-    not yet in v's orbit: if v and w are twins (the same neighbours
-    apart from each other) the swap of v and w is the map, and else
-    `_search` looks for one from two copies of the coloring, v
+    Go through each cell in increasing order, and try each member w
+    not yet in a known orbit against one vertex v of each orbit already
+    found in the cell, the least: if v and w are twins (the same
+    neighbours apart from each other) the swap of v and w is the map,
+    and else `_search` looks for one from two copies of the coloring, v
     individualized in one and w in the other. A map it returns keeps
     the colorings, in which v and w are alone in their classes, so it
     takes v to w. A map joins orbits only after it is checked edge by
     edge and tip by tip, so vertices that share a rep are mapped to each
-    other by an automorphism. Orbits may be finer than the true ones,
-    but never coarser, so a walk rooted at each orbit's rep is never
-    short of a root (`patterns._tip_walk`).
+    other by an automorphism. Only when no v maps to w does w start a
+    new orbit. Every automorphism keeps the refined coloring, so an
+    orbit lies inside one cell, and `_search` finds a map whenever one
+    exists, so the orbits are the true ones: a walk rooted at each
+    orbit's rep is never short of a root (`patterns._tip_walk`), and
+    roots no two tips that an automorphism maps to each other.
 
     Every refinement round spends one node per vertex on budget before
     it runs, so the work stops at the budget's limit.
@@ -155,28 +159,31 @@ def orbits(gf: Graft, budget) -> tuple[list[int], list[tuple[int, ...]]]:
     cells: dict[int, list[int]] = {}
     for v, col in enumerate(c):
         cells.setdefault(col, []).append(v)
-    for v, *rest in cells.values():
-        for w in rest:
-            if find(w) == find(v):
+    for cell in cells.values():
+        found: list[int] = []
+        for w in cell:
+            if find(w) != w:
                 continue
-            if g.adj[v] & ~(1 << w) == g.adj[w] & ~(1 << v):
-                # the swap moves only the edges at v and w, and this
-                # test compares them all; both lie in one cell, so
-                # both are tips or neither is
-                perm = list(range(g.n))
-                perm[v], perm[w] = w, v
-                moved = ((v, w),)
+            for v in found:
+                if g.adj[v] & ~(1 << w) == g.adj[w] & ~(1 << v):
+                    # the swap moves only the edges at v and w, and this
+                    # test compares them all; both lie in one cell, so
+                    # both are tips or neither is
+                    perm = list(range(g.n))
+                    perm[v], perm[w] = w, v
+                else:
+                    c1, c2 = list(c), list(c)
+                    c1[v] = c2[w] = max(c) + 1
+                    perm = _search(g, g, c1, c2, budget)
+                    if perm is None or mask_of(perm[t] for t in gf.tips) != tips:
+                        continue
+                maps.append(tuple(perm))
+                for u, p in enumerate(perm):
+                    a, b = find(u), find(p)
+                    reps[max(a, b)] = min(a, b)
+                break
             else:
-                c1, c2 = list(c), list(c)
-                c1[v] = c2[w] = max(c) + 1
-                perm = _search(g, g, c1, c2, budget)
-                if perm is None or mask_of(perm[t] for t in gf.tips) != tips:
-                    continue
-                moved = enumerate(perm)
-            maps.append(tuple(perm))
-            for u, p in moved:
-                a, b = find(u), find(p)
-                reps[max(a, b)] = min(a, b)
+                found.append(w)
     return [find(v) for v in range(g.n)], maps
 
 

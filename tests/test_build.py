@@ -11,6 +11,10 @@ giving pair sizes 1, 3, 13, 181, 39733 and graft sizes 2, 5, 21, 309,
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +26,8 @@ from burling import (
     bounds_only,
 )
 from burling.io import graph_to_json, trace_to_json
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 PAIR_SIZES = {1: (1, 1), 2: (3, 2), 3: (13, 8), 4: (181, 128),
               5: (39733, 32768)}
@@ -200,6 +206,36 @@ def test_graft_from_pair_pinned():
     text = graph_to_json(gf.graph, gf.tips)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "3a06a8a3daf1e3b8bc62e5b4519b6c55968f815fbdbf0724e74bf19e3b773cd0")
+
+
+GRAFT5_GROWTH = """
+import re, sys
+from burling import burling_pair, graft_from_pair
+
+def peak():
+    with open("/proc/self/status") as fh:
+        return int(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read()).group(1))
+
+p = burling_pair(5)
+before = peak()
+gf = graft_from_pair(p)
+print((peak() - before) * 1024 / sum(map(sys.getsizeof, gf.graph.adj)))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="reads the peak RSS from Linux's /proc")
+def test_graft_from_pair_peak_is_its_rows():
+    # a fresh process, so the peak is pair 5's and then the graft's;
+    # building each row once grows it about 1.03x the rows' bytes, and
+    # a member table replaced row by row about 1.08x. The peak is the
+    # process's own VmHWM: its ru_maxrss would start at the peak of the
+    # process that started it, here the test run's
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", GRAFT5_GROWTH], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 1.05
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

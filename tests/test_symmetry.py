@@ -670,6 +670,10 @@ class TestTipOrbits:
         reps, _ = orbits(gf, SearchBudget())
         assert len({c[v] for v in range(n, n + 10)}) == 1
         assert min(reps[v] for v in range(n + 4, n + 10)) == n + 4
+        # each part is one orbit: every member is tried against the
+        # orbits already found in its cell, not only the cell's least
+        assert {reps[v] for v in range(n, n + 4)} == {n}
+        assert {reps[v] for v in range(n + 4, n + 10)} == {n + 4}
         calls = recorded(monkeypatch)
         w = find_mountable_path(gf, budget=SearchBudget(100_000))
         assert calls == [gf]
