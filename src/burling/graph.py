@@ -58,6 +58,12 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        """The graph on vertices 0..n-1 with the given edges. A negative
+        n, an endpoint out of range or a self-loop raises, as the
+        constructor does; the rows it builds are symmetric and loop-free
+        by construction, so they are not checked again."""
+        if n < 0:
+            raise InvalidArgumentError("vertex count must be non-negative")
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):

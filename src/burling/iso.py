@@ -10,6 +10,12 @@ non-singleton class is split by individualization and the search
 branches. `orbits` refines one graft, then runs the same search on
 two copies of it to find automorphisms, which the tip-to-tip walks use
 to filter their roots to one tip per orbit.
+
+Each entry call (`graft_isomorphic`, `orbits`) builds each graph's
+neighbour lists once, in its first refinement, after that refinement's
+first round has spent its nodes. Every later round, every node of the
+search and the edge check read those lists; `orbits` hands the one
+graph's lists to both copies.
 """
 
 from __future__ import annotations
@@ -22,12 +28,16 @@ from .graph import Graph, Graft
 __all__ = ["graft_isomorphic", "graph_isomorphic", "orbits"]
 
 
-def _refine(gs: tuple[Graph, ...], cs: list[list[int]], budget=None):
+def _refine(gs: tuple[Graph, ...], cs: list[list[int]], budget=None,
+            nbrs=None):
     """Jointly refine the colorings cs of the graphs gs to a stable
-    partition. With a budget, each round first spends one node per
-    vertex it recolors, the first round before any other work."""
+    partition, and return it with nbrs, the neighbour lists of gs.
+    With a budget, each round first spends one node per vertex it
+    recolors. Without nbrs, the lists are built once, after the first
+    round has spent its nodes, so a small budget stops a big graph
+    before any list is built; an entry call hands the nbrs of its first
+    refinement to every later one."""
     ncolors = len(set().union(*cs))
-    nbrs = None
     while True:
         if budget is not None:
             budget.spend(sum(g.n for g in gs))
@@ -39,31 +49,28 @@ def _refine(gs: tuple[Graph, ...], cs: list[list[int]], budget=None):
                   len(intern)) for v, nb in enumerate(nbv)]
               for nbv, c in zip(nbrs, cs)]
         if len(intern) == ncolors:
-            return cs
+            return cs, nbrs
         ncolors = len(intern)
 
 
-def _maps_edges(g1: Graph, g2: Graph, perm) -> bool:
-    """Whether perm carries every edge of g1 to an edge of g2."""
-    return all(g2.adj[perm[u]] >> perm[v] & 1 for u, v in g1.edges())
-
-
 def _search(g1: Graph, g2: Graph, c1: list[int], c2: list[int],
-            budget=None):
+            budget=None, nbrs=None):
     """Refine, then try the in-order map, then individualize the first
     vertex of g1 in the smallest non-singleton class against each vertex
     of g2 in that class, in increasing order; the first verified map
-    found, or None. A budget is spent by every refinement, as `_refine`
-    says.
+    found, or None. Every refinement reads one nbrs, the neighbour lists
+    of g1 and g2: the caller's, or those the first refinement builds. A
+    budget is spent by every refinement, as `_refine` says.
 
     After each refinement the two colorings are compared as lists sorted
     by color: if they differ, no map that keeps the colorings exists
     below this node. If they agree, the in-order map pairs each class's
     members in increasing order, a bijection that keeps the colorings,
-    and it is returned if it carries every edge of g1 to an edge of g2.
-    When every class is a singleton it is the only such bijection. Every map returned passes that
-    edge check, and the branching is that of a search without the
-    in-order map, so a map is found whenever one exists.
+    and it is returned if it carries each vertex's neighbour list in g1
+    onto its image's list in g2. When every class is a singleton it is
+    the only such bijection. Every map returned passes that check, and
+    the branching is that of a search without the in-order map, so a
+    map is found whenever one exists.
 
     An explicit trail, not recursion, so depth is not capped by Python's
     recursion limit. One frame per individualization: the refined
@@ -72,14 +79,15 @@ def _search(g1: Graph, g2: Graph, c1: list[int], c2: list[int],
     """
     trail: list[tuple] = []
     while True:
-        c1, c2 = _refine((g1, g2), [c1, c2], budget)
+        (c1, c2), nbrs = _refine((g1, g2), [c1, c2], budget, nbrs)
         o1 = sorted(range(g1.n), key=c1.__getitem__)
         o2 = sorted(range(g2.n), key=c2.__getitem__)
         if [c1[v] for v in o1] == [c2[v] for v in o2]:
             perm = [0] * g1.n
             for a, b in zip(o1, o2):
                 perm[a] = b
-            if _maps_edges(g1, g2, perm):
+            if all(sorted(map(perm.__getitem__, nb)) == nbrs[1][perm[u]]
+                   for u, nb in enumerate(nbrs[0])):
                 return tuple(perm)
             hist = Counter(c1)
             split = [c for c, size in hist.items() if size > 1]
@@ -100,11 +108,8 @@ def _search(g1: Graph, g2: Graph, c1: list[int], c2: list[int],
 
 
 def _initial(g: Graph, tips: frozenset[int], intern: dict) -> list[int]:
-    out = []
-    for v in range(g.n):
-        key = (g.adj[v].bit_count(), v in tips)
-        out.append(intern.setdefault(key, len(intern)))
-    return out
+    return [intern.setdefault((row.bit_count(), v in tips), len(intern))
+            for v, row in enumerate(g.adj)]
 
 
 def graft_isomorphic(a: Graft, b: Graft):
@@ -142,12 +147,14 @@ def orbits(gf: Graft, budget) -> tuple[list[int], list[tuple[int, ...]]]:
     orbit's rep is never short of a root (`patterns._tip_walk`), and
     roots no two tips that an automorphism maps to each other.
 
-    Every refinement round spends one node per vertex on budget before
-    it runs, so the work stops at the budget's limit.
+    The first refinement builds the graph's neighbour lists, and every
+    `_search` reads them for both copies. Every refinement round spends
+    one node per vertex on budget before it runs, the first one before
+    the lists are built, so the work stops at the budget's limit.
     """
     g = gf.graph
     tips = gf.tip_mask
-    (c,) = _refine((g,), [_initial(g, gf.tips, {})], budget)
+    (c,), nbrs = _refine((g,), [_initial(g, gf.tips, {})], budget)
     reps = list(range(g.n))
     maps = []
 
@@ -174,7 +181,7 @@ def orbits(gf: Graft, budget) -> tuple[list[int], list[tuple[int, ...]]]:
                 else:
                     c1, c2 = list(c), list(c)
                     c1[v] = c2[w] = max(c) + 1
-                    perm = _search(g, g, c1, c2, budget)
+                    perm = _search(g, g, c1, c2, budget, nbrs * 2)
                     if perm is None or mask_of(perm[t] for t in gf.tips) != tips:
                         continue
                 maps.append(tuple(perm))

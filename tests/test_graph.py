@@ -28,6 +28,15 @@ def test_from_edges_rejects_bad_vertices():
         Graph.from_edges(3, [(1, 1)])
 
 
+def test_from_edges_rejects_negative_vertex_count():
+    # with no edge to range-check, only an explicit test of n catches
+    # it, as in the constructor
+    with pytest.raises(InvalidArgumentError):
+        Graph(-3, ())
+    with pytest.raises(InvalidArgumentError):
+        Graph.from_edges(-3, [])
+
+
 def test_duplicate_edges_collapse():
     g = Graph.from_edges(3, [(0, 1), (1, 0), (0, 1)])
     assert g.edge_count() == 1

@@ -5,10 +5,12 @@ import itertools
 import random
 import sys
 
+import burling.iso
 from burling import (
-    Graph, Graft, SearchBudget, graph_isomorphic, graft_isomorphic,
+    Graph, Graft, SearchBudget, build_graft, burling_pair, graft_from_pair,
+    graph_isomorphic, graft_isomorphic,
 )
-from burling.iso import _initial, _search
+from burling.iso import _initial, _search, orbits
 
 from conftest import make_random_graph
 
@@ -151,3 +153,25 @@ def test_in_order_map_answers_before_individualizing():
     c = _initial(g, frozenset(), {})
     got = _search(g, g, c, c, SearchBudget(2 * 2 * g.n))
     assert got == tuple(range(g.n))
+
+
+def test_neighbour_lists_built_once_per_call(monkeypatch):
+    # every refinement and every edge check of a call reads one set of
+    # lists: one bits call per vertex per graph, however many nodes the
+    # search visits, and orbits' two copies share theirs
+    g4 = build_graft(4)[0]
+    other = graft_from_pair(burling_pair(4))
+    calls = []
+    real = burling.iso.bits
+
+    def counted(mask):
+        calls.append(mask)
+        return real(mask)
+
+    monkeypatch.setattr(burling.iso, "bits", counted)
+    b = SearchBudget()
+    orbits(g4, b)
+    assert b.nodes > 10 * g4.n and len(calls) == g4.n == 309
+    calls.clear()
+    assert graft_isomorphic(other, g4) is not None
+    assert len(calls) == 2 * g4.n

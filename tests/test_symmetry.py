@@ -377,7 +377,7 @@ class TestOrbitCertificate:
         g = frucht()
         assert g.edge_count() == 18
         assert all(row.bit_count() == 3 for row in g.adj)
-        (c,) = _refine((g,), [_initial(g, frozenset(), {})])
+        (c,), _ = _refine((g,), [_initial(g, frozenset(), {})])
         assert len(set(c)) == 1
         reps, maps = orbits(Graft(g), SearchBudget())
         assert reps == list(range(12)) and maps == []
@@ -666,7 +666,7 @@ class TestTipOrbits:
         # miss them
         gf = g4_with_k4_and_k33()
         n = gf.n - 10
-        (c,) = _refine((gf.graph,), [_initial(gf.graph, gf.tips, {})])
+        (c,), _ = _refine((gf.graph,), [_initial(gf.graph, gf.tips, {})])
         reps, _ = orbits(gf, SearchBudget())
         assert len({c[v] for v in range(n, n + 10)}) == 1
         assert min(reps[v] for v in range(n + 4, n + 10)) == n + 4
