@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .bits import mask_of
 from .graph import Graph, Graft
-from .ops import OpRecord, apply_op, _freeze, _thaw
+from .ops import OpRecord, apply_op, _freeze, _join, _thaw
 from .iso import graft_isomorphic
 from .errors import CapError, InvalidArgumentError
 
@@ -149,7 +149,8 @@ class LevelTrace:
     embedded template, with c the final id of its original; ("copy", u,
     w) embeds non-tip template vertex w during the join at u. Template
     tips (the original tips and the pendants) are glued onto host
-    vertices, so they never appear as created vertices here.
+    vertices, so they never appear as created vertices here. `_plan`
+    derives every id and tag.
     """
 
     level: int
@@ -169,53 +170,73 @@ def _seed_graft() -> Graft:
     return Graft(Graph.from_edges(2, [(0, 1)]), frozenset({1}))
 
 
-def _level(gk: Graft, level: int, template_ops, host_ops) -> tuple[Graft, LevelTrace]:
-    """One graft level. The template ops run on one copy of gk, frozen
-    once as the side graft "template"; the host ops, clones and then each
-    ("join", x, "template"), run on a second copy, frozen once. The trace
-    is read off the records; u in ("copy", u, w) is the least of x."""
+def _plan(gk: Graft) -> tuple[list, list, list, tuple]:
+    """The level above gk as (template ops, host clone ops, the join
+    sets X_u in tip order, provenance tags), read off gk's vertex count
+    n and its t sorted tips.
+
+    Every op appends one vertex, so each id is known in advance:
+    - The template runs on a copy of gk: ("clone", tips[j]) makes n + j,
+      then ("pendent", n + j) makes n + t + j, which replaces n + j as a
+      tip. Its sorted tips are gk's tips followed by the pendants.
+    - The host runs on a second copy: tip u = tips[i] is cloned 2t - 1
+      times, making n + i*(2t-1) .. n + (i+1)*(2t-1) - 1. X_u is u plus
+      those clones, sorted, since u < n.
+    - Then one join per tip, in tip order, glues the template's sorted
+      tips onto sorted X_u (`ops.join`): template tip tips[j] goes onto
+      X_u[j], and the pendant on clone n + j onto X_u[t + j]. Both have
+      2t members.
+    - `_join` gives the template's non-tips fresh ids in increasing
+      order, so each join appends n vertices: gk's n - t non-tips w,
+      tagged ("copy", u, w), then the t template clones. Clone n + j
+      was made from tips[j], which sits at X_u[j], so it is tagged
+      ("clone-of", X_u[j]).
+    """
+    tips = sorted(gk.tips)
+    n, t = gk.n, len(tips)
+    step = 2 * t - 1
+    clones = [("clone", u) for u in tips for _ in range(step)]
+    xs = [(u, *range(n + i * step, n + (i + 1) * step))
+          for i, u in enumerate(tips)]
+    tags = [("base", v) for v in range(n)]
+    tags += [("clone-of", u) for _, u in clones]
+    for x in xs:
+        tags += [("copy", x[0], w) for w in range(n) if w not in gk.tips]
+        tags += [("clone-of", c) for c in x[:t]]
+    template = ([("clone", u) for u in tips]
+                + [("pendent", n + j) for j in range(t)])
+    return template, clones, xs, tuple(tags)
+
+
+def _level(gk: Graft, template_ops, clone_ops, xs):
+    """Run one graft level's ops: the template ops on one copy of gk,
+    frozen once as the template, then the clone ops and a join of the
+    template at each x in xs on a second copy, frozen once. Returns the
+    graft and the template, clone and join records."""
     adj, tips = _thaw(gk)
-    tpl_records = [apply_op(adj, tips, op) for op in template_ops]
+    template_records = tuple(apply_op(adj, tips, op) for op in template_ops)
     tpl = _freeze(adj, tips)
     adj, tips = _thaw(gk)
-    records = [apply_op(adj, tips, op, {"template": tpl}) for op in host_ops]
-    clone_of = {rec.created[0]: rec.target
-                for rec in tpl_records if rec.op == "clone"}
-    embedded = [w for w in range(tpl.n) if w not in tpl.tips]
-    clones = tuple(rec for rec in records if rec.op != "join")
-    joins = tuple(rec for rec in records if rec.op == "join")
-    provenance: list[tuple] = [("base", v) for v in range(gk.n)]
-    provenance += [("clone-of", rec.target) for rec in clones]
-    for rec in joins:
-        provenance += [("clone-of", rec.identified[clone_of[w]])
-                       if w in clone_of else ("copy", rec.x[0], w)
-                       for w in embedded]
-    trace = LevelTrace(level, tuple(tpl_records), clones, joins,
-                       tuple(provenance))
-    return _freeze(adj, tips), trace
+    clones = tuple(apply_op(adj, tips, op) for op in clone_ops)
+    joins = tuple(_join(adj, tips, x, tpl) for x in xs)
+    return _freeze(adj, tips), template_records, clones, joins
 
 
 def build_graft(k: int, cap: int = GRAFT_CAP) -> tuple[Graft, ConstructionTrace]:
     """The k-th graft, grown level by level through the three operations.
 
-    Each level plans its ops from the t sorted tips: the template clones
-    every tip, then pendents every clone; the host clones each tip u 2t-1
-    times; X_u is u plus its clones, joined with the default pairing.
-    Every op appends one vertex, so each created id is known in advance.
+    Each level runs the ops of its plan (`_plan`): the template clones
+    every tip, then pendents every clone; the host clones each tip u
+    2t-1 times; X_u is u plus its clones, joined with the default
+    pairing.
     """
     _check_level(k, cap)
     gf = _seed_graft()
     levels = []
     for level in range(1, k):
-        tips = sorted(gf.tips)
-        n, step = gf.n, 2 * len(tips) - 1
-        template = ([("clone", v) for v in tips]
-                    + [("pendent", n + i) for i in range(len(tips))])
-        host = [("clone", u) for u in tips for _ in range(step)]
-        host += [("join", (u, *range(n + i * step, n + (i + 1) * step)),
-                  "template") for i, u in enumerate(tips)]
-        gf, trace = _level(gf, level, template, host)
-        levels.append(trace)
+        *ops, provenance = _plan(gf)
+        gf, *records = _level(gf, *ops)
+        levels.append(LevelTrace(level, *records, provenance))
     return gf, ConstructionTrace(k, tuple(levels))
 
 
@@ -224,11 +245,9 @@ def replay_trace(trace: ConstructionTrace) -> Graft:
     replay with the default pairing, the only one build_graft records."""
     gf = _seed_graft()
     for lv in trace.levels:
-        gf, _ = _level(
-            gf, lv.level,
-            [(rec.op, rec.target) for rec in lv.template_records],
-            [(rec.op, rec.target) for rec in lv.host_records]
-            + [("join", rec.x, "template") for rec in lv.join_records])
+        gf, *_ = _level(gf, [(r.op, r.target) for r in lv.template_records],
+                        [(r.op, r.target) for r in lv.host_records],
+                        [r.x for r in lv.join_records])
     return gf
 
 

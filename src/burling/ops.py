@@ -74,7 +74,9 @@ def _add_tip(adj: list[int], tips: set[int], t: int, op: str) -> OpRecord:
 
 
 def _join(adj: list[int], tips: set[int], x, g2: Graft) -> OpRecord:
-    xs = sorted(set(x))
+    xs = sorted(x)
+    if len(set(xs)) != len(xs):
+        raise InvalidArgumentError("repeated vertex in x")
     for v in xs:
         _check_tip(adj, tips, v)
     if len(xs) != len(g2.tips):
@@ -127,7 +129,7 @@ def clone(g: Graft, t: int) -> tuple[Graft, OpRecord]:
 def join(g1: Graft, x, g2: Graft) -> tuple[Graft, OpRecord]:
     """Glue g2 onto g1 by identifying g2's tips with the vertices of x.
 
-    x must be a set of tips of g1 that all share one neighborhood, with
+    x must list distinct tips of g1 that all share one neighborhood, with
     |x| = |tips(g2)|. Host vertices keep their ids; non-tip vertices of
     g2 get fresh ids in increasing original order. Sorted tips of g2 go
     onto sorted x; any injective pairing gives an isomorphic result.

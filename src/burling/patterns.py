@@ -796,11 +796,12 @@ def is_clean(gf: Graft, budget=None) -> CleanReport:
     the least tip's walk shows that it pays (`_tip_walk`).
 
     Conditions (4) and (5) walk one tree (`_apex_walk`, with gf's
-    pivots and the apex), and its nodes count on (4). If it finds nothing, both hold, and (5) reports 0. If
-    it finds a mountable path, (4) holds and (5) fails with that path,
-    reporting 0. Only when it finds a guarded fan does (5) search alone
-    (`find_mountable_path`). Every witness is the one the detector for
-    that condition gives alone.
+    pivots and the apex), and its nodes count on (4). If it finds
+    nothing, both hold, and (5) reports 0. If it finds a mountable path,
+    (4) holds and (5) fails with that path, reporting 0. Only when it
+    finds a guarded fan does (5) search alone (`find_mountable_path`).
+    Every witness is the one the detector for that condition gives
+    alone.
     """
     g = gf.graph
 

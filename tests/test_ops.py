@@ -5,7 +5,7 @@ import pytest
 from burling import (
     Graph, Graft, pendent, clone, join,
     BurlingError, TipViolationError, ArityError, HomogeneityError,
-    InvalidVertexError,
+    InvalidArgumentError, InvalidVertexError,
 )
 from burling.ops import apply_op
 
@@ -75,6 +75,19 @@ def test_join_checks_arity():
 def test_join_checks_tip_status_per_vertex():
     with pytest.raises(TipViolationError):
         join(host_two_tips(), [0, 1], side_pair())
+
+
+def test_join_rejects_repeated_vertex():
+    # the seed with tip 1 cloned twice: x = [1, 1, 2] names two distinct
+    # tips, as many as the side has, but repeats one of them
+    host, _ = clone(seed(), 1)
+    host, _ = clone(host, 1)
+    with pytest.raises(InvalidArgumentError):
+        join(host, [1, 1, 2], side_pair())
+    adj, tips = list(host.graph.adj), set(host.tips)
+    with pytest.raises(InvalidArgumentError):
+        apply_op(adj, tips, ("join", (1, 1, 2), "side"), {"side": side_pair()})
+    assert adj == list(host.graph.adj) and tips == host.tips
 
 
 def mixed_host() -> Graft:

@@ -28,9 +28,10 @@ from burling import (
     find_mountable_path,
 )
 from burling.bits import bits, mask_of
+from burling.build import _plan, _seed_graft
 from burling.fuzz import generate_sequence, run_sequence
 from burling.iso import _initial, _refine, orbits
-from burling.ops import apply_op
+from burling.ops import _thaw, apply_op
 from burling.patterns import (
     _canon_cycle, _cycle_walk, _cycles, _paths, _pivots, _twin_reps,
 )
@@ -518,7 +519,7 @@ def mid_graft():
     rng = random.Random(0)
     while True:
         seq = generate_sequence(rng.randrange(2**32), 100, 200)
-        adj, tips = [0b10, 0b01], {1}
+        adj, tips = _thaw(_seed_graft())
         for op in seq.ops:
             apply_op(adj, tips, op, seq.sides)
         g = Graph.from_adj(adj)
@@ -540,12 +541,11 @@ def g4_with_k4_and_k33():
 
 def level_five_template():
     """T5, the template of level 5: g4 with every tip cloned and every
-    clone given a pendant, in build_graft's order of ops."""
+    clone given a pendant, by the template ops of build_graft's plan."""
     g4, _ = build_graft(4)
-    adj, tips = list(g4.graph.adj), set(g4.tips)
-    ends = sorted(tips)
-    for op in ([("clone", t) for t in ends]
-               + [("pendent", g4.n + i) for i in range(len(ends))]):
+    adj, tips = _thaw(g4)
+    template, *_ = _plan(g4)
+    for op in template:
         apply_op(adj, tips, op)
     assert len(tips) == 256
     return Graft(Graph.from_adj(adj), frozenset(tips))
