@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable
+# Annotations are never evaluated, so Iterable needs no import.
 
 
 def mask_of(vertices: Iterable[int]) -> int:

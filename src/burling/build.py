@@ -8,10 +8,8 @@ the k-th built graft, and check_equivalence exhibits the bijection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bits import mask_of
-from .graph import Graph, Graft
+from .graph import Graph, Graft, _Record, _set
 from .ops import OpRecord, apply_op, _freeze, _join, _thaw
 from .iso import graft_isomorphic
 from .errors import CapError, InvalidArgumentError
@@ -28,20 +26,19 @@ GRAFT_CAP = 5
 EQUIV_CAP = 3
 
 
-@dataclass(frozen=True)
-class StablePair:
+class StablePair(_Record):
     """A graph with an ordered list of stable sets. Stability of every
     listed set is validated on construction."""
 
-    graph: Graph
-    stables: tuple[frozenset[int], ...]
+    __slots__ = ("graph", "stables")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "stables", tuple(frozenset(s) for s in self.stables))
-        for i, s in enumerate(self.stables):
-            if not self.graph.is_stable_set(s):
+    def __init__(self, graph: Graph, stables: tuple[frozenset[int], ...]):
+        stables = tuple(frozenset(s) for s in stables)
+        for i, s in enumerate(stables):
+            if not graph.is_stable_set(s):
                 raise InvalidArgumentError(f"stables[{i}] is not stable")
+        _set(self, "graph", graph)
+        _set(self, "stables", stables)
 
 
 def next_pair(p: StablePair) -> StablePair:
@@ -139,8 +136,7 @@ def graft_from_pair(p: StablePair) -> Graft:
                  frozenset(range(n, n + len(masks))))
 
 
-@dataclass(frozen=True)
-class LevelTrace:
+class LevelTrace(_Record):
     """Audit of one graft level: the side-template ops (clones then
     pendents on a copy of the level's input), the host clones, the joins
     in increasing tip order, and a provenance tag per output vertex.
@@ -153,17 +149,26 @@ class LevelTrace:
     derives every id and tag.
     """
 
-    level: int
-    template_records: tuple[OpRecord, ...]
-    host_records: tuple[OpRecord, ...]
-    join_records: tuple[OpRecord, ...]
-    provenance: tuple[tuple, ...]
+    __slots__ = ("level", "template_records", "host_records",
+                 "join_records", "provenance")
+
+    def __init__(self, level: int, template_records: tuple[OpRecord, ...],
+                 host_records: tuple[OpRecord, ...],
+                 join_records: tuple[OpRecord, ...],
+                 provenance: tuple[tuple, ...]):
+        _set(self, "level", level)
+        _set(self, "template_records", template_records)
+        _set(self, "host_records", host_records)
+        _set(self, "join_records", join_records)
+        _set(self, "provenance", provenance)
 
 
-@dataclass(frozen=True)
-class ConstructionTrace:
-    k: int
-    levels: tuple[LevelTrace, ...]
+class ConstructionTrace(_Record):
+    __slots__ = ("k", "levels")
+
+    def __init__(self, k: int, levels: tuple[LevelTrace, ...]):
+        _set(self, "k", k)
+        _set(self, "levels", levels)
 
 
 def _seed_graft() -> Graft:

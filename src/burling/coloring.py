@@ -13,11 +13,10 @@ from that lower bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .bits import bits
-from .graph import Graph, Graft
+from .graph import Graph, Graft, _Record, _set
 from .errors import CapError, InvalidArgumentError
 
 __all__ = [
@@ -30,29 +29,31 @@ CHROMA_CAP = 64
 RAINBOW_CAP = 21
 
 
-@dataclass(frozen=True)
-class Coloring:
+class Coloring(_Record):
     """A vertex coloring using color ids 0..count-1, every class used."""
 
-    colors: tuple[int, ...]
+    __slots__ = ("colors",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "colors", tuple(self.colors))
-        used = set(self.colors)
+    def __init__(self, colors: tuple[int, ...]):
+        colors = tuple(colors)
+        used = set(colors)
         if used and used != set(range(len(used))):
             raise InvalidArgumentError(
                 "colors must be exactly 0..count-1 with no empty class")
+        _set(self, "colors", colors)
 
     @property
     def count(self) -> int:
         return max(self.colors) + 1 if self.colors else 0
 
 
-@dataclass(frozen=True)
-class ChromaticCertificate:
-    chi: int
-    witness: Coloring
-    lower_bound_proof: str
+class ChromaticCertificate(_Record):
+    __slots__ = ("chi", "witness", "lower_bound_proof")
+
+    def __init__(self, chi: int, witness: Coloring, lower_bound_proof: str):
+        _set(self, "chi", chi)
+        _set(self, "witness", witness)
+        _set(self, "lower_bound_proof", lower_bound_proof)
 
 
 def is_proper(g: Graph, coloring) -> bool:

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
 
 from .build import _seed_graft
-from .graph import Graft
+from .graph import Graft, _Record, _set
 from .io import dump_graft, format_script, load_graft, parse_script
 from .ops import _freeze, _thaw, apply_op
 from .patterns import CleanReport, is_clean
@@ -31,27 +30,33 @@ __all__ = [
 DEFAULT_MAX_VERTICES = 40
 
 
-@dataclass(frozen=True)
-class FuzzSequence:
+class FuzzSequence(_Record):
     """Op descriptors plus the side grafts the joins refer to.
 
     ops entries are ("pendent", t), ("clone", t), or
-    ("join", (x0, x1, ...), side_name).
+    ("join", (x0, x1, ...), side_name). sides defaults to a new empty
+    dict.
     """
 
-    seed: int
-    ops: tuple
-    sides: dict = field(default_factory=dict)
+    __slots__ = ("seed", "ops", "sides")
+
+    def __init__(self, seed: int, ops: tuple, sides: dict | None = None):
+        _set(self, "seed", seed)
+        _set(self, "ops", ops)
+        _set(self, "sides", {} if sides is None else sides)
 
     def script(self) -> str:
         return format_script(self.ops)
 
 
-@dataclass
-class FuzzResult:
-    final: Graft
-    reports: list[CleanReport]
-    failed_at: int | None = None
+class FuzzResult(_Record):
+    __slots__ = ("final", "reports", "failed_at")
+
+    def __init__(self, final: Graft, reports: list[CleanReport],
+                 failed_at: int | None = None):
+        _set(self, "final", final)
+        _set(self, "reports", reports)
+        _set(self, "failed_at", failed_at)
 
     @property
     def ok(self) -> bool:

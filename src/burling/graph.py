@@ -1,23 +1,70 @@
-"""Immutable simple-graph and graft value types.
+"""Immutable simple-graph and graft value types, and the base of every
+value type in the package.
 
 Vertices are dense ids 0..n-1. Adjacency is stored as one int bitmask per
 vertex, which keeps the set algebra the detectors lean on (intersection,
 difference, popcount) cheap even at a few hundred vertices.
+
+Every value type (graphs, grafts, witnesses, op records, traces, the
+clean report and its verdicts, colorings, fuzz sequences) is a
+`_Record`: a class that names its fields in ``__slots__`` and sets each
+once in its own ``__init__``, which also runs its checks. The base
+compares and hashes by the field tuple, read by one
+``operator.attrgetter`` per class; prints ``Name(field=value, ...)``;
+raises AttributeError on assigning or deleting an attribute; and
+pickles and copies through the constructor. Nothing is generated at
+import and nothing beyond ``operator`` is loaded for it: generated
+record methods, and the ``inspect`` module their generator loads, took
+about a third of a fresh ``import burling`` (README "Start-up").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from operator import attrgetter
 
 from .bits import bits, mask_of
 from .errors import InvalidArgumentError, InvalidVertexError
 
 __all__ = ["Graph", "Graft"]
 
+# Annotations are never evaluated (see the __future__ import), so
+# Iterable and Sequence name their protocols without importing typing.
 
-@dataclass(frozen=True, slots=True)
-class Graph:
+_set = object.__setattr__
+
+
+class _Record:
+    """Immutable value base; see the module docstring."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self.__slots__)
+
+
+class Graph(_Record):
     """An immutable simple undirected graph.
 
     Construct via :meth:`from_edges` or :meth:`from_adj`; both validate
@@ -25,11 +72,9 @@ class Graph:
     shared freely (all operations are pure); it compares by (n, adj).
     """
 
-    n: int
-    adj: tuple[int, ...]
+    __slots__ = ("n", "adj")
 
-    def __post_init__(self):
-        n, adj = self.n, self.adj
+    def __init__(self, n: int, adj: Sequence[int]):
         if n < 0:
             raise InvalidArgumentError("vertex count must be non-negative")
         if len(adj) != n:
@@ -44,7 +89,8 @@ class Graph:
             for w in bits(row):
                 if not adj[w] >> v & 1:
                     raise InvalidArgumentError(f"asymmetric adjacency at {v},{w}")
-        object.__setattr__(self, "adj", tuple(adj))
+        _set(self, "n", n)
+        _set(self, "adj", tuple(adj))
 
     # Internal fast path for rows already known to be symmetric and loop-free.
     # Rows are stored as a tuple whatever sequence comes in, so equality and
@@ -52,8 +98,8 @@ class Graph:
     @classmethod
     def _raw(cls, n: int, adj: Sequence[int]) -> "Graph":
         g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "adj", tuple(adj))
+        _set(g, "n", n)
+        _set(g, "adj", tuple(adj))
         return g
 
     @classmethod
@@ -171,19 +217,18 @@ class Graph:
         return self.induced_subgraph(bits(keep))
 
 
-@dataclass(frozen=True)
-class Graft:
+class Graft(_Record):
     """A graph with a distinguished vertex subset (its tips)."""
 
-    graph: Graph
-    tips: frozenset[int] = field(default_factory=frozenset)
+    __slots__ = ("graph", "tips")
 
-    def __post_init__(self):
-        tips = frozenset(self.tips)
-        object.__setattr__(self, "tips", tips)
+    def __init__(self, graph: Graph, tips: frozenset[int] = frozenset()):
+        tips = frozenset(tips)
         if tips:
-            self.graph.check_vertex(min(tips))
-            self.graph.check_vertex(max(tips))
+            graph.check_vertex(min(tips))
+            graph.check_vertex(max(tips))
+        _set(self, "graph", graph)
+        _set(self, "tips", tips)
 
     @property
     def tip_mask(self) -> int:

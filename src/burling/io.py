@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import json
 import shlex
-from typing import TextIO
+from itertools import chain
 
 from .graph import Graph, Graft
 from .witness import Witness
 from .errors import BurlingError, FormatError, InvalidArgumentError
+
+# Annotations are never evaluated, so TextIO needs no import.
 
 __all__ = [
     "graph_to_json", "graph_from_json",
@@ -37,13 +39,17 @@ MAX_FILE_VERTICES = 1 << 17
 
 def graph_to_json(g: Graph, tips: frozenset[int] | None = None,
                   name: str | None = None) -> str:
-    """Byte-stable JSON text for a graph (graft when tips is given)."""
-    doc: dict = {"n": g.n, "edges": [list(e) for e in g.edges()]}
+    """Byte-stable JSON text for a graph (graft when tips is given). The
+    edge list is the repr of g.edges() with brackets for its tuples'
+    parentheses: the text json.dumps writes for a list of integer
+    pairs, without building a list per edge."""
+    edges = repr(g.edges()).replace("(", "[").replace(")", "]")
+    values = {"n": str(g.n), "edges": edges}
     if tips is not None:
-        doc["tips"] = sorted(tips)
+        values["tips"] = json.dumps(sorted(tips))
     if name is not None:
-        doc["name"] = name
-    lines = (f" {json.dumps(k)}: {json.dumps(doc[k])}" for k in sorted(doc))
+        values["name"] = json.dumps(name)
+    lines = (f" {json.dumps(k)}: {values[k]}" for k in sorted(values))
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
@@ -84,14 +90,19 @@ def graph_from_json(text: str) -> tuple[Graph, frozenset[int] | None, str | None
     if n > MAX_FILE_VERTICES:
         raise FormatError(f"'n' is {n}, above the limit of "
                           f"{MAX_FILE_VERTICES} vertices")
-    if not isinstance(doc["edges"], list):
+    edges = doc["edges"]
+    if not isinstance(edges, list):
         raise FormatError("'edges' must be a list")
-    for item in doc["edges"]:
-        if (not isinstance(item, list) or len(item) != 2
-                or not all(map(_is_int, item))):
-            raise FormatError(f"bad edge entry: {item!r}")
+    # decoded JSON holds exact lists and ints, so these whole-list type
+    # tests are _is_int's; the loop only names the first bad entry
+    if not (set(map(type, edges)) <= {list} and set(map(len, edges)) <= {2}
+            and set(map(type, chain.from_iterable(edges))) <= {int}):
+        for item in edges:
+            if (not isinstance(item, list) or len(item) != 2
+                    or not all(map(_is_int, item))):
+                raise FormatError(f"bad edge entry: {item!r}")
     try:
-        g = Graph.from_edges(n, doc["edges"])
+        g = Graph.from_edges(n, edges)
     except BurlingError as exc:
         raise FormatError(f"bad graph data: {exc}") from exc
     tips = None

@@ -12,10 +12,8 @@ descriptor is ("pendent", t), ("clone", t) or ("join", xs, name), and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bits import bits
-from .graph import Graph, Graft
+from .graph import Graph, Graft, _Record, _set
 from .errors import (
     TipViolationError, ArityError, HomogeneityError, InvalidArgumentError,
     InvalidVertexError,
@@ -24,8 +22,7 @@ from .errors import (
 __all__ = ["OpRecord", "pendent", "clone", "join", "apply_op"]
 
 
-@dataclass(frozen=True)
-class OpRecord:
+class OpRecord(_Record):
     """Audit record of one operation.
 
     created: ids (in the output graph) of vertices the op introduced.
@@ -34,11 +31,16 @@ class OpRecord:
     target / x: the op's own arguments, kept so a trace can be replayed.
     """
 
-    op: str
-    created: tuple[int, ...]
-    identified: dict[int, int] | None = None
-    target: int | None = None
-    x: tuple[int, ...] = ()
+    __slots__ = ("op", "created", "identified", "target", "x")
+
+    def __init__(self, op: str, created: tuple[int, ...],
+                 identified: dict[int, int] | None = None,
+                 target: int | None = None, x: tuple[int, ...] = ()):
+        _set(self, "op", op)
+        _set(self, "created", created)
+        _set(self, "identified", identified)
+        _set(self, "target", target)
+        _set(self, "x", x)
 
 
 def _thaw(g: Graft) -> tuple[list[int], set[int]]:

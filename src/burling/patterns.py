@@ -47,11 +47,8 @@ mountable path alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar
-
 from .bits import bits, mask_of
-from .graph import Graph, Graft
+from .graph import Graph, Graft, _Record, _set
 from .iso import orbits
 from .witness import Witness
 from .errors import (
@@ -733,32 +730,39 @@ def find_mountable_path(gf: Graft, budget=None):
 
 # -- the clean certifier ------------------------------------------------------
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(_Record):
     """One clean condition: holds, or fails with a witness."""
 
-    holds: bool
-    witness: Witness | None
-    nodes: int
+    __slots__ = ("holds", "witness", "nodes")
+
+    def __init__(self, holds: bool, witness: Witness | None, nodes: int):
+        _set(self, "holds", holds)
+        _set(self, "witness", witness)
+        _set(self, "nodes", nodes)
 
 
-@dataclass(frozen=True)
-class CleanReport:
+class CleanReport(_Record):
     """The five clean-graft conditions, each with its own verdict."""
 
-    triangle_free: Verdict
-    tips_stable: Verdict
-    wheel_free: Verdict
-    no_guarded_fan: Verdict
-    no_mountable_path: Verdict
+    __slots__ = ("triangle_free", "tips_stable", "wheel_free",
+                 "no_guarded_fan", "no_mountable_path")
 
-    LABELS: ClassVar[tuple[tuple[str, str], ...]] = (
+    LABELS = (
         ("(1) triangle-free", "triangle_free"),
         ("(2) tips-stable", "tips_stable"),
         ("(3) wheel-free", "wheel_free"),
         ("(4) no-guarded-fan", "no_guarded_fan"),
         ("(5) no-mountable-path", "no_mountable_path"),
     )
+
+    def __init__(self, triangle_free: Verdict, tips_stable: Verdict,
+                 wheel_free: Verdict, no_guarded_fan: Verdict,
+                 no_mountable_path: Verdict):
+        _set(self, "triangle_free", triangle_free)
+        _set(self, "tips_stable", tips_stable)
+        _set(self, "wheel_free", wheel_free)
+        _set(self, "no_guarded_fan", no_guarded_fan)
+        _set(self, "no_mountable_path", no_mountable_path)
 
     def items(self) -> list[tuple[str, Verdict]]:
         return [(label, getattr(self, attr)) for label, attr in self.LABELS]

@@ -8,10 +8,8 @@ itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bits import mask_of
-from .graph import Graph
+from .graph import Graph, _Record, _set
 from .errors import InvalidArgumentError
 
 __all__ = ["Witness", "validate_witness", "WITNESS_KINDS"]
@@ -28,8 +26,7 @@ WITNESS_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(_Record):
     """One induced occurrence of a pattern.
 
     ``vertices`` carries the role-ordered support:
@@ -44,19 +41,20 @@ class Witness:
     attachment threshold where one applies.
     """
 
-    kind: str
-    vertices: tuple[int, ...]
-    center: int | None = None
-    k: int = 0
-    hits: tuple[int, ...] = ()
-    paths: tuple[tuple[int, ...], ...] = ()
+    __slots__ = ("kind", "vertices", "center", "k", "hits", "paths")
 
-    def __post_init__(self):
-        if self.kind not in WITNESS_KINDS:
-            raise InvalidArgumentError(f"unknown witness kind {self.kind!r}")
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "hits", tuple(self.hits))
-        object.__setattr__(self, "paths", tuple(tuple(p) for p in self.paths))
+    def __init__(self, kind: str, vertices: tuple[int, ...],
+                 center: int | None = None, k: int = 0,
+                 hits: tuple[int, ...] = (),
+                 paths: tuple[tuple[int, ...], ...] = ()):
+        if kind not in WITNESS_KINDS:
+            raise InvalidArgumentError(f"unknown witness kind {kind!r}")
+        _set(self, "kind", kind)
+        _set(self, "vertices", tuple(vertices))
+        _set(self, "center", center)
+        _set(self, "k", k)
+        _set(self, "hits", tuple(hits))
+        _set(self, "paths", tuple(tuple(p) for p in paths))
 
     def support(self) -> frozenset[int]:
         """Every vertex the witness mentions."""
@@ -179,4 +177,4 @@ def validate_witness(g: Graph, tips: frozenset[int] | None, w: Witness) -> bool:
         u, v = w.vertices
         return u in tips and v in tips and bool(g.adj[u] >> v & 1)
 
-    return False  # pragma: no cover - kinds are closed by __post_init__
+    return False  # pragma: no cover - kinds are closed by __init__
