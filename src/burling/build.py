@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .bits import mask_of
 from .graph import Graph, Graft, _Record, _set
-from .ops import OpRecord, apply_op, _freeze, _join, _thaw
+from .ops import apply_op, _freeze, _join, _thaw
 from .iso import graft_isomorphic
 from .errors import CapError, InvalidArgumentError
 
@@ -152,23 +152,9 @@ class LevelTrace(_Record):
     __slots__ = ("level", "template_records", "host_records",
                  "join_records", "provenance")
 
-    def __init__(self, level: int, template_records: tuple[OpRecord, ...],
-                 host_records: tuple[OpRecord, ...],
-                 join_records: tuple[OpRecord, ...],
-                 provenance: tuple[tuple, ...]):
-        _set(self, "level", level)
-        _set(self, "template_records", template_records)
-        _set(self, "host_records", host_records)
-        _set(self, "join_records", join_records)
-        _set(self, "provenance", provenance)
-
 
 class ConstructionTrace(_Record):
     __slots__ = ("k", "levels")
-
-    def __init__(self, k: int, levels: tuple[LevelTrace, ...]):
-        _set(self, "k", k)
-        _set(self, "levels", levels)
 
 
 def _seed_graft() -> Graft:

@@ -137,9 +137,6 @@ def _cmd_fuzz(a) -> int:
 
 
 def _cmd_export(a) -> int:
-    if not a.dot:
-        print("error: pick an output format (--dot)", file=sys.stderr)
-        return EXIT_USAGE
     g, tips, name = _read_graph(a.infile)
     _write_out(a.out, graph_to_dot(g, tips, name=name or "G"))
     return EXIT_OK
@@ -149,7 +146,7 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="burling",
         description="Construct, certify, and cross-check Burling grafts.")
-    sub = top.add_subparsers(dest="verb", metavar="verb")
+    sub = top.add_subparsers(dest="verb", metavar="verb", required=True)
 
     p = sub.add_parser("generate", help="build a pair or graft level")
     p.add_argument("--mode", choices=("pair", "graft"), required=True)
@@ -192,7 +189,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="render a graph file")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--dot", action="store_true", help="GraphViz output")
+    p.add_argument("--dot", action="store_true", required=True,
+                   help="GraphViz output")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_export)
 
@@ -200,14 +198,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if not hasattr(args, "func"):
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except SearchBudgetExceeded as exc:

@@ -50,11 +50,6 @@ class Coloring(_Record):
 class ChromaticCertificate(_Record):
     __slots__ = ("chi", "witness", "lower_bound_proof")
 
-    def __init__(self, chi: int, witness: Coloring, lower_bound_proof: str):
-        _set(self, "chi", chi)
-        _set(self, "witness", witness)
-        _set(self, "lower_bound_proof", lower_bound_proof)
-
 
 def is_proper(g: Graph, coloring) -> bool:
     """Independent validator: no edge joins two same-colored vertices."""
@@ -219,11 +214,11 @@ def find_non_rainbow_coloring(gf: Graft, k: int, c: int,
     plus its own distinct color needs k+1 colors.
     """
     g = gf.graph
-    if g.n > cap:
-        raise CapError(f"rainbow search capped at {cap} vertices, got {g.n}")
     if k < 1:
         raise InvalidArgumentError("k must be positive")
     if c < 1:
         raise InvalidArgumentError("c must be positive")
+    if g.n > cap:
+        raise CapError(f"rainbow search capped at {cap} vertices, got {g.n}")
     got = _search(g, c, sorted(gf.tips), k)
     return None if got is None else Coloring(got)

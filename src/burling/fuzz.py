@@ -49,14 +49,8 @@ class FuzzSequence(_Record):
         return format_script(self.ops)
 
 
-class FuzzResult(_Record):
+class FuzzResult(_Record, failed_at=None):
     __slots__ = ("final", "reports", "failed_at")
-
-    def __init__(self, final: Graft, reports: list[CleanReport],
-                 failed_at: int | None = None):
-        _set(self, "final", final)
-        _set(self, "reports", reports)
-        _set(self, "failed_at", failed_at)
 
     @property
     def ok(self) -> bool:
@@ -130,11 +124,29 @@ def run_sequence(seq: FuzzSequence, budget=None) -> FuzzResult:
     return FuzzResult(_freeze(adj, tips), reports)
 
 
+def _side_path(base: str, name: str) -> str:
+    """The real path of side graft ``name`` in directory ``base``; a
+    name that resolves outside base raises FormatError."""
+    base = os.path.realpath(base)
+    side = os.path.realpath(os.path.join(base, name))
+    if os.path.commonpath([base, side]) != base:
+        raise FormatError(f"side graft @{name} lies outside "
+                          "the script's directory")
+    return side
+
+
 def dump_failure(seq: FuzzSequence, dirpath: str) -> str:
-    """Write a replayable script and its side grafts; returns script path."""
+    """Write a replayable script and its side grafts; returns script path.
+
+    A side name is a path inside dirpath, as load_sequence reads it:
+    its directories are created, and a name outside dirpath raises
+    FormatError.
+    """
     os.makedirs(dirpath, exist_ok=True)
     for name, side in seq.sides.items():
-        with open(os.path.join(dirpath, name), "w") as fh:
+        side_path = _side_path(dirpath, name)
+        os.makedirs(os.path.dirname(side_path), exist_ok=True)
+        with open(side_path, "w") as fh:
             dump_graft(side, fh, name=name.rsplit(".", 1)[0])
     path = os.path.join(dirpath, f"seq-{seq.seed}.ops")
     with open(path, "w") as fh:
@@ -149,14 +161,10 @@ def load_sequence(path: str, seed: int = 0) -> FuzzSequence:
     """
     with open(path) as fh:
         ops = tuple(parse_script(fh.read()))
-    base = os.path.realpath(os.path.dirname(os.path.abspath(path)))
+    base = os.path.dirname(os.path.abspath(path))
     sides: dict[str, Graft] = {}
     for op in ops:
         if op[0] == "join" and op[2] not in sides:
-            side = os.path.realpath(os.path.join(base, op[2]))
-            if os.path.commonpath([base, side]) != base:
-                raise FormatError(f"side graft @{op[2]} lies outside "
-                                  "the script's directory")
-            with open(side) as fh:
+            with open(_side_path(base, op[2])) as fh:
                 sides[op[2]] = load_graft(fh)
     return FuzzSequence(seed=seed, ops=ops, sides=sides)

@@ -8,14 +8,17 @@ difference, popcount) cheap even at a few hundred vertices.
 Every value type (graphs, grafts, witnesses, op records, traces, the
 clean report and its verdicts, colorings, fuzz sequences) is a
 `_Record`: a class that names its fields in ``__slots__`` and sets each
-once in its own ``__init__``, which also runs its checks. The base
-compares and hashes by the field tuple, read by one
+once in its ``__init__``. A class whose constructor runs a check or a
+conversion writes its own; for the rest the base compiles the plain
+one, a parameter per field in slot order with defaults from the class
+keywords (``class R(_Record, x=())``), once per class at import. The
+base compares and hashes by the field tuple, read by one
 ``operator.attrgetter`` per class; prints ``Name(field=value, ...)``;
 raises AttributeError on assigning or deleting an attribute; and
-pickles and copies through the constructor. Nothing is generated at
-import and nothing beyond ``operator`` is loaded for it: generated
-record methods, and the ``inspect`` module their generator loads, took
-about a third of a fresh ``import burling`` (README "Start-up").
+pickles and copies through the constructor. Nothing beyond
+``operator`` is loaded for it: ``dataclasses``, and the ``inspect``
+module it loads, took about a third of a fresh ``import burling``
+(README "Start-up").
 """
 
 from __future__ import annotations
@@ -38,8 +41,22 @@ class _Record:
 
     __slots__ = ()
 
-    def __init_subclass__(cls):
-        cls._key = attrgetter(*cls.__slots__)
+    def __init_subclass__(cls, **defaults):
+        fields = cls.__slots__
+        cls._key = attrgetter(*fields)
+        for name in defaults.keys() - set(fields):
+            raise TypeError(f"{cls.__qualname__} has no field {name!r}")
+        if "__init__" in cls.__dict__:
+            return
+        # the plain constructor, compiled once per class: it costs the
+        # same per call as one written out by hand
+        params = ", ".join(f"{f}=_d[{f!r}]" if f in defaults else f
+                           for f in fields)
+        body = "".join(f"\n _set(self, {f!r}, {f})" for f in fields)
+        ns = {"_set": _set, "_d": defaults, "__name__": cls.__module__}
+        exec(f"def __init__(self, {params}):{body}", ns)
+        cls.__init__ = ns["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

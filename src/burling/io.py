@@ -197,7 +197,8 @@ def format_script(ops: list) -> str:
     """Render a list of op descriptors to script text.
 
     Each descriptor is a tuple: ("pendent", t), ("clone", t), or
-    ("join", xs, path) where path names a side-graft file.
+    ("join", xs, path) where path names a side-graft file; a path
+    that a shell would split or cut (a space, a ``#``) is quoted.
     """
     lines = []
     for desc in ops:
@@ -205,7 +206,7 @@ def format_script(ops: list) -> str:
             lines.append(f"{desc[0]} {desc[1]}")
         elif desc[0] == "join":
             xs = " ".join(str(x) for x in desc[1])
-            lines.append(f"join {xs} @{desc[2]}")
+            lines.append(f"join {xs} @{shlex.quote(desc[2])}")
         else:
             raise FormatError(f"unknown op {desc[0]!r}")
     return "\n".join(lines) + ("\n" if lines else "")
@@ -214,7 +215,9 @@ def format_script(ops: list) -> str:
 def parse_script(text: str) -> list:
     """Parse script text back to op descriptors (inverse of format_script).
 
-    Grammar, one op per line, ``#`` starts a comment::
+    Grammar, one op per line, split into words as a POSIX shell does
+    (``shlex``): quotes group a word and an unquoted ``#`` starts a
+    comment::
 
         pendent <t>
         clone <t>
@@ -222,13 +225,12 @@ def parse_script(text: str) -> list:
     """
     ops = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
         try:
-            parts = shlex.split(line)
+            parts = shlex.split(raw, comments=True)
         except ValueError as exc:
             raise FormatError(f"line {lineno}: {exc}") from exc
+        if not parts:
+            continue
         verb = parts[0]
         if verb in ("pendent", "clone"):
             if len(parts) != 2:

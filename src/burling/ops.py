@@ -13,7 +13,7 @@ descriptor is ("pendent", t), ("clone", t) or ("join", xs, name), and
 from __future__ import annotations
 
 from .bits import bits
-from .graph import Graph, Graft, _Record, _set
+from .graph import Graph, Graft, _Record
 from .errors import (
     TipViolationError, ArityError, HomogeneityError, InvalidArgumentError,
     InvalidVertexError,
@@ -22,7 +22,7 @@ from .errors import (
 __all__ = ["OpRecord", "pendent", "clone", "join", "apply_op"]
 
 
-class OpRecord(_Record):
+class OpRecord(_Record, identified=None, target=None, x=()):
     """Audit record of one operation.
 
     created: ids (in the output graph) of vertices the op introduced.
@@ -32,15 +32,6 @@ class OpRecord(_Record):
     """
 
     __slots__ = ("op", "created", "identified", "target", "x")
-
-    def __init__(self, op: str, created: tuple[int, ...],
-                 identified: dict[int, int] | None = None,
-                 target: int | None = None, x: tuple[int, ...] = ()):
-        _set(self, "op", op)
-        _set(self, "created", created)
-        _set(self, "identified", identified)
-        _set(self, "target", target)
-        _set(self, "x", x)
 
 
 def _thaw(g: Graft) -> tuple[list[int], set[int]]:

@@ -48,7 +48,7 @@ mountable path alone.
 from __future__ import annotations
 
 from .bits import bits, mask_of
-from .graph import Graph, Graft, _Record, _set
+from .graph import Graph, Graft, _Record
 from .iso import orbits
 from .witness import Witness
 from .errors import (
@@ -735,11 +735,6 @@ class Verdict(_Record):
 
     __slots__ = ("holds", "witness", "nodes")
 
-    def __init__(self, holds: bool, witness: Witness | None, nodes: int):
-        _set(self, "holds", holds)
-        _set(self, "witness", witness)
-        _set(self, "nodes", nodes)
-
 
 class CleanReport(_Record):
     """The five clean-graft conditions, each with its own verdict."""
@@ -754,15 +749,6 @@ class CleanReport(_Record):
         ("(4) no-guarded-fan", "no_guarded_fan"),
         ("(5) no-mountable-path", "no_mountable_path"),
     )
-
-    def __init__(self, triangle_free: Verdict, tips_stable: Verdict,
-                 wheel_free: Verdict, no_guarded_fan: Verdict,
-                 no_mountable_path: Verdict):
-        _set(self, "triangle_free", triangle_free)
-        _set(self, "tips_stable", tips_stable)
-        _set(self, "wheel_free", wheel_free)
-        _set(self, "no_guarded_fan", no_guarded_fan)
-        _set(self, "no_mountable_path", no_mountable_path)
 
     def items(self) -> list[tuple[str, Verdict]]:
         return [(label, getattr(self, attr)) for label, attr in self.LABELS]

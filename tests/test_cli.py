@@ -198,6 +198,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     g2 = tmp_path / "g2.graph"
     assert run(["generate", "--mode", "graft", "--k", "2", "--out", str(g2)]) == 0
     assert run(["chroma", "--in", str(g2), "--bounds", "--rainbow", "3", "3"]) == 2
+    assert run(["export", "--in", str(g2)]) == 2
+    g4 = tmp_path / "g4.graph"
+    assert run(["generate", "--mode", "graft", "--k", "4", "--out", str(g4)]) == 0
+    assert run(["chroma", "--in", str(g4), "--rainbow", "0", "3"]) == 2
     capsys.readouterr()
 
 

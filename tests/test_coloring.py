@@ -241,6 +241,15 @@ def test_rainbow_cap_and_validation():
         find_non_rainbow_coloring(small, 3, 0)
 
 
+def test_rainbow_arguments_checked_before_cap():
+    # bad input is an argument error even on a graft over the cap
+    gf, _ = build_graft(4)
+    with pytest.raises(InvalidArgumentError):
+        find_non_rainbow_coloring(gf, 0, 3)
+    with pytest.raises(InvalidArgumentError):
+        find_non_rainbow_coloring(gf, 3, 0)
+
+
 def test_chi_values_for_small_levels():
     g2, _ = build_graft(2)
     g3, _ = build_graft(3)

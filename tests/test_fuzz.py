@@ -3,7 +3,7 @@
 import pytest
 
 import burling.fuzz
-from burling import Graph, Graft, InvalidArgumentError, is_clean
+from burling import FormatError, Graph, Graft, InvalidArgumentError, is_clean
 from burling.fuzz import (
     generate_sequence, run_sequence, dump_failure, load_sequence,
     FuzzSequence, DEFAULT_MAX_VERTICES,
@@ -62,6 +62,26 @@ def test_script_round_trip_replays(tmp_path):
     b = run_sequence(replayed).final
     assert a.graph == b.graph
     assert a.tips == b.tips
+
+
+def test_dump_replays_side_in_subdirectory(tmp_path):
+    side = Graft(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]), frozenset({0}))
+    seq = FuzzSequence(seed=3, ops=(("join", (1,), "sub/tri side.graph"),),
+                       sides={"sub/tri side.graph": side})
+    path = dump_failure(seq, str(tmp_path / "dump"))
+    assert (tmp_path / "dump" / "sub" / "tri side.graph").is_file()
+    replayed = load_sequence(path, seq.seed)
+    assert replayed == seq
+    assert run_sequence(replayed).failed_at == 0
+
+
+def test_dump_rejects_side_outside_dump_dir(tmp_path):
+    side = Graft(Graph.from_edges(2, [(0, 1)]), frozenset({1}))
+    seq = FuzzSequence(seed=0, ops=(("join", (1,), "../out.graph"),),
+                       sides={"../out.graph": side})
+    with pytest.raises(FormatError, match="outside the script's directory"):
+        dump_failure(seq, str(tmp_path / "dump"))
+    assert not (tmp_path / "out.graph").exists()
 
 
 def test_hand_built_sequences_run():

@@ -122,11 +122,16 @@ def test_malformed_witness_docs_rejected(text):
         witness_from_json(text)
 
 
-def test_script_round_trip():
-    ops = [("pendent", 3), ("clone", 0), ("join", (1, 2), "side0.graph")]
+@pytest.mark.parametrize("name, written", [
+    ("side0.graph", "side0.graph"),
+    ("side 0.graph", "'side 0.graph'"),
+    ("a#b.graph", "'a#b.graph'"),
+], ids=["plain", "space", "hash"])
+def test_script_round_trip(name, written):
+    ops = [("pendent", 3), ("clone", 0), ("join", (1, 2), name)]
     text = format_script(ops)
     assert text.splitlines() == [
-        "pendent 3", "clone 0", "join 1 2 @side0.graph"]
+        "pendent 3", "clone 0", f"join 1 2 @{written}"]
     assert parse_script(text) == ops
 
 

@@ -1,7 +1,9 @@
-"""The value types: what a fresh import loads, and the record contract
-(equality, hashing, repr, immutability, pickling) every one of them keeps."""
+"""The value types: what a fresh import loads, the record contract
+(equality, hashing, repr, immutability, pickling) every one of them keeps,
+and the plain constructors the record base writes."""
 
 import copy
+import inspect
 import pickle
 import subprocess
 import sys
@@ -109,3 +111,48 @@ def test_record_reprs_pinned():
         "paths=()), nodes=12)")
     assert repr(OP) == ("OpRecord(op='join', created=(5, 6), "
                         "identified={0: 1, 1: 3}, target=None, x=(1, 3))")
+
+
+# the constructors the record base writes, with their parameters as the
+# hand-written ones had them: (name, default or EMPTY), in order
+EMPTY = inspect.Parameter.empty
+PLAIN = [
+    (OpRecord, [("op", EMPTY), ("created", EMPTY), ("identified", None),
+                ("target", None), ("x", ())]),
+    (LevelTrace, [("level", EMPTY), ("template_records", EMPTY),
+                  ("host_records", EMPTY), ("join_records", EMPTY),
+                  ("provenance", EMPTY)]),
+    (ConstructionTrace, [("k", EMPTY), ("levels", EMPTY)]),
+    (ChromaticCertificate, [("chi", EMPTY), ("witness", EMPTY),
+                            ("lower_bound_proof", EMPTY)]),
+    (Verdict, [("holds", EMPTY), ("witness", EMPTY), ("nodes", EMPTY)]),
+    (CleanReport, [(f, EMPTY) for f in (
+        "triangle_free", "tips_stable", "wheel_free", "no_guarded_fan",
+        "no_mountable_path")]),
+    (FuzzResult, [("final", EMPTY), ("reports", EMPTY), ("failed_at", None)]),
+]
+
+
+@pytest.mark.parametrize("cls, params", PLAIN,
+                         ids=[c.__name__ for c, _ in PLAIN])
+def test_generated_constructor(cls, params):
+    sig = inspect.signature(cls)
+    assert [(p.name, p.default) for p in sig.parameters.values()] == params
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD
+               for p in sig.parameters.values())
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+    assert cls.__init__.__module__ == cls.__module__
+
+    required = [name for name, default in params if default is EMPTY]
+    with pytest.raises(TypeError):
+        cls(*range(len(required) - 1))
+    with pytest.raises(TypeError):
+        cls(*range(len(required)), no_such_field=1)
+    a = cls(*range(len(required)))
+    assert [getattr(a, name) for name in required] == list(range(len(required)))
+    for name, default in params[len(required):]:
+        assert getattr(a, name) == default
+
+    with pytest.raises(TypeError, match="no_such_field"):
+        type(cls.__name__, (_Record,), {"__slots__": cls.__slots__},
+             no_such_field=1)
