@@ -1,9 +1,22 @@
 """Brute-force subset-enumeration oracle for cross-validating detectors.
 
 Every vertex subset of the host, in increasing mask order, is tested
-against the pattern definitions directly (degree profiles, walks,
-connectivity), with no code shared with the fast detectors. Capped at
-12 vertices.
+against the pattern definitions directly (degree profiles and walks),
+with no code shared with the fast detectors. Capped at 12 vertices.
+
+Every pattern is made of induced cycles and paths: a hole is a cycle, a
+wheel a cycle plus a hub, a theta three paths between two branch
+vertices, and a fan or a mountable path a path. One walker, `_walk`,
+recognizes them all. From its start it steps to the one neighbour in
+the subset it has not visited, and it gives up at a vertex with two.
+Walking v1, ..., vm, an edge vi vj with j > i + 1 would have left vi
+with two unvisited neighbours, v(i+1) and vj, so the walked vertices
+induce the path v1 ... vm plus at most the edges at v1 when its first
+step was given. A walk that covers the subset from a vertex of degree 1
+is thus an induced path, and a covering walk from a vertex of degree 2
+towards one of its neighbours that ends beside the start is an induced
+cycle. Conversely, such a walk covers every induced path from an end
+and every induced cycle, as each step has one choice.
 
 Each subset is routed by its excess x = e - size, where e is its induced
 edge count and size its vertex count, to the recognizers of the patterns
@@ -56,69 +69,77 @@ _TIP_KINDS = ("guarded-fan", "mountable-path")
 _KINDS = ("triangle", "hole", "wheel", "theta", "fan") + _TIP_KINDS
 
 
+def _walk(adj, mask, start, first=None):
+    """Vertices of the walk through mask from start, or None.
+
+    The walk steps to first, or else to start's one neighbour in mask,
+    and then always to the one neighbour in mask it has not visited,
+    stopping at a vertex with none. It returns None as soon as a vertex
+    has two unvisited neighbours: a chord or a branch. So, walking
+    v1, ..., vm, an edge vi vj with j > i + 1 can only leave v1, and only
+    when first is given, since at vi both v(i+1) and vj were unvisited.
+    The caller checks that the walk covered its mask.
+    """
+    order = [start]
+    seen = 1 << start
+    step = adj[start] & mask if first is None else 1 << first
+    while step:
+        if step & (step - 1):
+            return None
+        cur = step.bit_length() - 1
+        order.append(cur)
+        seen |= step
+        step = adj[cur] & mask & ~seen
+    return order
+
+
 def _cycle_order(adj, mask):
-    """Vertices of a 2-regular connected mask in canonical cyclic order,
-    or None if the mask is not a single cycle."""
-    size = mask.bit_count()
+    """Vertices of an induced-cycle mask in canonical cyclic order, or
+    None.
+
+    The walk starts at the least vertex, which must have degree 2, and
+    steps first to its lesser neighbour. A walk that covers the mask and
+    ends beside the start is the cycle: the start's only edge past its
+    first step is to the end, and no other chord survives the walk.
+    """
     start = (mask & -mask).bit_length() - 1
     nb = adj[start] & mask
     if nb.bit_count() != 2:
         return None
-    cur = (nb & -nb).bit_length() - 1
-    order = [start, cur]
-    prev = start
-    while True:
-        step = adj[cur] & mask & ~(1 << prev)
-        if step.bit_count() != 1:
-            return None
-        prev, cur = cur, step.bit_length() - 1
-        if cur == start:
-            break
-        order.append(cur)
-        if len(order) > size:
-            return None
-    if len(order) != size:
+    order = _walk(adj, mask, start, (nb & -nb).bit_length() - 1)
+    if (order is None or len(order) != mask.bit_count()
+            or not adj[order[-1]] >> start & 1):
         return None
     return tuple(order)
 
 
 def _path_order(adj, mask):
-    """Vertices of an induced-path mask in path order, or None."""
-    size = mask.bit_count()
-    if size == 1:
-        return (mask.bit_length() - 1,)
-    ends = []
-    twice_edges = 0
+    """Vertices of an induced-path mask in path order, or None.
+
+    The walk starts at the least vertex of degree 1, so the start has
+    no chord either, and a walk that covers the mask is the path.
+    """
     for v in bits(mask):
-        d = (adj[v] & mask).bit_count()
-        if d > 2:
-            return None
-        twice_edges += d
-        if d == 1:
-            ends.append(v)
-        elif d == 0:
-            return None
-    if len(ends) != 2 or twice_edges != 2 * (size - 1):
-        return None
-    cur = min(ends)
-    order = [cur]
-    prev_bit = 0
-    for _ in range(size - 1):
-        step = adj[cur] & mask & ~prev_bit
-        if step == 0:
-            # degree profile can pass on a path plus a cycle; the walk
-            # strands at the far end before covering the cycle part
-            return None
-        prev_bit = 1 << cur
-        cur = (step & -step).bit_length() - 1
-        order.append(cur)
-    if len(set(order)) != size:
-        return None
-    return tuple(order)
+        if (adj[v] & mask).bit_count() == 1:
+            order = _walk(adj, mask, v)
+            if order is None or len(order) != mask.bit_count():
+                return None
+            return tuple(order)
+    return None
 
 
 def _theta_parts(adj, mask, vs, degs):
-    """Branch vertices plus the three path sequences, or None."""
+    """Branch vertices plus the three path sequences, or None.
+
+    The branch vertices a < b are the two of degree 3, every other
+    vertex has degree 2, and a and b are not adjacent. Each of a's three
+    neighbours starts a walk through the mask without a and b, which
+    must end beside b. A walk that reaches another of a's neighbours
+    stops there, as that vertex's two edges go to a and back, so it does
+    not end beside b: the three walks that pass are disjoint, and they
+    cover the mask exactly when their lengths sum to its size. The paths
+    are ordered by their least interior vertex.
+    """
     branch = [v for v, d in zip(vs, degs) if d == 3]
     if len(branch) != 2 or any(d not in (2, 3) for d in degs):
         return None
@@ -126,66 +147,42 @@ def _theta_parts(adj, mask, vs, degs):
     if adj[a] >> b & 1:
         return None
     inner = mask & ~(1 << a) & ~(1 << b)
-    comps = []
-    rem = inner
-    while rem:
-        comp = rem & -rem
-        frontier = comp
-        while frontier:
-            grow = 0
-            for v in bits(frontier):
-                grow |= adj[v]
-            grow &= inner & ~comp
-            comp |= grow
-            frontier = grow
-        comps.append(comp)
-        rem &= ~comp
-    if len(comps) != 3:
-        return None
     paths = []
-    for comp in comps:
-        if (adj[a] & comp).bit_count() != 1 or (adj[b] & comp).bit_count() != 1:
+    for u in bits(adj[a] & inner):
+        seq = _walk(adj, inner, u)
+        if seq is None or not adj[seq[-1]] >> b & 1:
             return None
-        seq = [a]
-        cur = (adj[a] & comp).bit_length() - 1
-        seen = 0
-        while True:
-            seq.append(cur)
-            seen |= 1 << cur
-            step = adj[cur] & comp & ~seen
-            if not step:
-                break
-            cur = (step & -step).bit_length() - 1
-        if seen != comp or not adj[seq[-1]] >> b & 1:
-            return None
-        seq.append(b)
-        paths.append(tuple(seq))
-    return a, b, tuple(paths)
+        paths.append((a, *seq, b))
+    if sum(len(p) - 2 for p in paths) != inner.bit_count():
+        return None
+    return a, b, tuple(sorted(paths, key=lambda p: min(p[1:-1])))
 
 
 def _find_in_mask(adj, mask, vs, degs, kind, k, tip_mask):
     """Check one subset against one pattern; return a Witness or None."""
     size = len(vs)
-    if kind == "triangle":
-        if size == 3 and all(d == 2 for d in degs):
-            return Witness("triangle", tuple(vs))
-        return None
-    if kind == "hole":
-        if size >= 4 and all(d == 2 for d in degs):
-            order = _cycle_order(adj, mask)
-            if order is not None:
-                return Witness("hole", order)
-        return None
-    if kind == "wheel":
-        if size < 5:
+    if kind in ("triangle", "hole"):
+        # a triangle's cyclic order is its sorted vertices
+        if (size == 3) != (kind == "triangle"):
             return None
+        order = _cycle_order(adj, mask)
+        return None if order is None else Witness(kind, order)
+    if kind in ("wheel", "fan", "guarded-fan"):
+        need = 3 if kind == "guarded-fan" else k
         for v, d in zip(vs, degs):
-            if d < k:
+            if d < need:
                 continue
-            order = _cycle_order(adj, mask & ~(1 << v))
-            if order is not None:
-                hit = tuple(u for u in order if adj[v] >> u & 1)
-                return Witness("wheel", order, center=v, k=len(hit), hits=hit)
+            rest = mask & ~(1 << v)
+            if kind == "wheel":
+                # a rim of 3 would make a K4
+                order = _cycle_order(adj, rest) if size >= 5 else None
+            else:
+                order = _path_order(adj, rest)
+            if order is None or kind == "guarded-fan" and not (
+                    tip_mask >> order[0] & 1 and tip_mask >> order[-1] & 1):
+                continue
+            hit = tuple(u for u in order if adj[v] >> u & 1)
+            return Witness(kind, order, center=v, k=len(hit), hits=hit)
         return None
     if kind == "theta":
         parts = _theta_parts(adj, mask, vs, degs)
@@ -193,33 +190,8 @@ def _find_in_mask(adj, mask, vs, degs, kind, k, tip_mask):
             return None
         a, b, paths = parts
         return Witness("theta", (a, b), paths=paths)
-    if kind == "fan":
-        if size < k + 1:
-            return None
-        for v, d in zip(vs, degs):
-            if d < k:
-                continue
-            order = _path_order(adj, mask & ~(1 << v))
-            if order is not None:
-                hit = tuple(u for u in order if adj[v] >> u & 1)
-                return Witness("fan", order, center=v, k=len(hit), hits=hit)
-        return None
-    if kind == "guarded-fan":
-        if size < 4:
-            return None
-        for v, d in zip(vs, degs):
-            if d < 3:
-                continue
-            order = _path_order(adj, mask & ~(1 << v))
-            if order is None:
-                continue
-            if tip_mask >> order[0] & 1 and tip_mask >> order[-1] & 1:
-                hit = tuple(u for u in order if adj[v] >> u & 1)
-                return Witness("guarded-fan", order, center=v,
-                               k=len(hit), hits=hit)
-        return None
     if kind == "mountable-path":
-        if size < 3 or (mask & tip_mask).bit_count() < 3:
+        if (mask & tip_mask).bit_count() < 3:
             return None
         order = _path_order(adj, mask)
         if order is None:

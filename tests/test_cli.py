@@ -157,6 +157,25 @@ def test_fuzz_script_out_of_range_target(tmp_path, capsys):
     assert "vertex -1 out of range" in capsys.readouterr().err
 
 
+def test_fuzz_failure_dumps_replay(tmp_path, capsys):
+    # the side graft holds a triangle, so step 0 breaks condition (1)
+    tri = graph_to_json(Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)]),
+                        frozenset({0}))
+    (tmp_path / "tri.graph").write_text(tri)
+    script = tmp_path / "s.ops"
+    script.write_text("join 1 @tri.graph\n")
+    dump = tmp_path / "dump"
+    assert run(["fuzz", "--script", str(script), "--out", str(dump)]) == 1
+    out, err = capsys.readouterr()
+    head, body = out.split("\n", 1)
+    assert head.startswith("step 0 breaks (1) triangle-free: witness=")
+    assert body == "join 1 @tri.graph\n"
+    replay = dump / "seq-0.ops"
+    assert err == f"replay: {replay}\n"
+    assert run(["fuzz", "--script", str(replay)]) == 1
+    assert capsys.readouterr().out == out
+
+
 def test_script_side_graft_must_stay_in_script_dir(tmp_path, capsys):
     side = graph_to_json(Graph.from_edges(2, [(0, 1)]), frozenset({1}))
     scripts = tmp_path / "scripts"

@@ -26,6 +26,13 @@ def test_from_edges_rejects_bad_vertices():
         Graph.from_edges(3, [(-1, 0)])
     with pytest.raises(InvalidArgumentError):
         Graph.from_edges(3, [(1, 1)])
+    # the constructor's own row checks: count, self-loop, range
+    with pytest.raises(InvalidArgumentError):
+        Graph(2, [0])
+    with pytest.raises(InvalidArgumentError):
+        Graph(1, [1])
+    with pytest.raises(InvalidVertexError):
+        Graph(1, [2])
 
 
 def test_from_edges_rejects_negative_vertex_count():
@@ -92,6 +99,8 @@ def test_induced_path_check():
     assert g.is_induced_path([1, 2, 3, 4])
     assert g.is_induced_path([4])
     assert not g.is_induced_path([0, 2])
+    with pytest.raises(InvalidArgumentError):
+        g.is_induced_path([0, 0])
 
 
 def test_induced_subgraph_relabels():

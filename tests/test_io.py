@@ -7,7 +7,8 @@ import pytest
 
 from burling import Graph, Graft, Witness, FormatError, build_graft
 from burling.io import (
-    graph_to_json, graph_from_json, dump_graft, load_graft, graph_to_dot,
+    graph_to_json, graph_from_json, dump_graph, load_graph,
+    dump_graft, load_graft, graph_to_dot,
     witness_doc, witness_to_json, witness_from_json,
     format_script, parse_script, MAX_FILE_VERTICES,
 )
@@ -20,6 +21,11 @@ def test_graph_round_trip():
     assert back == g
     assert tips is None
     assert name == "p4"
+    buf = stdio.StringIO()
+    dump_graph(g, buf, name="p4")
+    assert buf.getvalue() == text
+    buf.seek(0)
+    assert load_graph(buf) == g
 
 
 def test_serialization_is_byte_stable():
@@ -59,6 +65,7 @@ def test_load_graft_requires_tips_key():
     "[1, 2]",
     '{"edges": []}',
     '{"n": 2}',
+    '{"n": 2, "edges": {}}',
     '{"n": 2, "edges": [], "bogus": 1}',
     '{"n": "2", "edges": []}',
     '{"n": true, "edges": []}',
@@ -95,6 +102,9 @@ def test_witness_round_trip():
     # compact dict form round-trips too
     back2 = witness_from_json(json.dumps(witness_doc(w)))
     assert back2 == w
+    theta = Witness("theta", (0, 1), paths=((0, 2, 1), (0, 3, 1), (0, 4, 1)))
+    assert witness_doc(theta)["paths"] == [[0, 2, 1], [0, 3, 1], [0, 4, 1]]
+    assert witness_from_json(witness_to_json(theta)) == theta
 
 
 def test_witness_defaults_omitted():
@@ -133,6 +143,8 @@ def test_script_round_trip(name, written):
     assert text.splitlines() == [
         "pendent 3", "clone 0", f"join 1 2 @{written}"]
     assert parse_script(text) == ops
+    with pytest.raises(FormatError):
+        format_script([("split", 1)])
 
 
 def test_script_comments_and_blanks_skip():
@@ -146,6 +158,8 @@ def test_script_comments_and_blanks_skip():
     "clone 1 2",
     "join @side.graph",
     "join 1 2 side.graph",
+    "join 1 @'a",
+    "join x @a",
     "warp 3",
 ])
 def test_bad_script_lines_rejected(line):

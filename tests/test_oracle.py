@@ -5,6 +5,7 @@ pattern presence by checking every vertex subset against first-principles
 shape recognizers, with no shared search code.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -110,6 +111,32 @@ def test_detectors_agree_with_oracle_on_random_grafts():
         sc = oracle_scan(gf.graph, gf.tips)
         assert sc["guarded-fan"] == (find_guarded_fan(gf) is not None)
         assert sc["mountable-path"] == (find_mountable_path(gf) is not None)
+
+
+def test_witnesses_pinned():
+    # sha256 of the witness reprs over a seeded corpus, frozen so a
+    # rewrite of the shape recognizers must return every witness unchanged
+    rng = random.Random(61)
+    lines = []
+    found = dict.fromkeys(oracle._KINDS, 0)
+    for i in range(3000):
+        k = rng.choice((3, 4, 5))
+        if i % 3 == 2:
+            gf = make_random_graft(rng, 10)
+            g, tips = gf.graph, gf.tips
+        else:
+            g = make_random_graph(rng, rng.randint(1, 10))
+            tips = None if i % 3 == 0 else frozenset()
+        kinds = oracle._KINDS if tips is not None else oracle._KINDS[:5]
+        ws = oracle._first_witnesses(g, tips, kinds, k)
+        lines.append(repr(ws))
+        for kd, w in ws.items():
+            found[kd] += w is not None
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "242bd9013ec63fabb83cc07a13b4160c36101a88bdec1083df2155ea3d8c4164")
+    assert found == {"triangle": 1380, "hole": 968, "wheel": 421,
+                     "theta": 380, "fan": 709, "guarded-fan": 136,
+                     "mountable-path": 145}
 
 
 def test_wheel_k_parameter_respected(wheel6):

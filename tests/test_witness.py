@@ -49,6 +49,11 @@ def test_wheel(wheel6):
     # hub on the rim is no wheel
     assert not validate_witness(
         wheel6, None, w("wheel", (0, 1, 2, 3), center=2, k=3, hits=(1, 2, 3)))
+    # a chord on the rim
+    chorded = Graph.from_edges(7, [(i, (i + 1) % 6) for i in range(6)]
+                               + [(0, 3), (6, 0), (6, 2), (6, 4)])
+    assert not validate_witness(chorded, None, w(
+        "wheel", range(6), center=6, k=3, hits=(0, 2, 4)))
 
 
 def test_theta():
@@ -60,6 +65,12 @@ def test_theta():
     g2 = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4),
                               (1, 2), (1, 3), (1, 4)])
     assert not validate_witness(g2, None, w("theta", (0, 1), paths=paths))
+    # two paths, a path that stops short of b, a repeated path
+    assert not validate_witness(g, None, w("theta", (0, 1), paths=paths[:2]))
+    assert not validate_witness(g, None, w(
+        "theta", (0, 1), paths=paths[:2] + ((0, 4),)))
+    assert not validate_witness(g, None, w(
+        "theta", (0, 1), paths=(paths[0], paths[0], paths[1])))
 
 
 def test_theta_rejects_cross_edges():
@@ -75,6 +86,11 @@ def test_fan():
         g, None, w("fan", (0, 1, 2, 3), center=4, k=3, hits=(0, 1, 2)))
     assert not validate_witness(
         g, None, w("fan", (0, 1, 2, 3), center=4, k=4, hits=(0, 1, 2)))
+    # no centre; a wrong hits list
+    assert not validate_witness(
+        g, None, w("fan", (0, 1, 2, 3), k=3, hits=(0, 1, 2)))
+    assert not validate_witness(
+        g, None, w("fan", (0, 1, 2, 3), center=4, k=3, hits=(0, 1, 3)))
 
 
 def test_guarded_fan_needs_tip_endpoints():
@@ -83,6 +99,7 @@ def test_guarded_fan_needs_tip_endpoints():
     assert validate_witness(g, frozenset({0, 3}), wit)
     assert not validate_witness(g, frozenset({0}), wit)
     assert not validate_witness(g, frozenset(), wit)
+    assert not validate_witness(g, None, wit)
 
 
 def test_mountable_path_counts_tips():
@@ -91,12 +108,14 @@ def test_mountable_path_counts_tips():
     # claimed hits must be the on-path tips exactly
     assert not validate_witness(P6, frozenset({0, 2}), wit)
     assert not validate_witness(P6, frozenset({0, 1, 2, 3}), wit)
+    assert not validate_witness(P6, None, wit)
 
 
 def test_stable_violation():
     g = Graph.from_edges(3, [(0, 1)])
     assert validate_witness(g, frozenset({0, 1}), w("stable-violation", (0, 1)))
     assert not validate_witness(g, frozenset({0, 2}), w("stable-violation", (0, 2)))
+    assert not validate_witness(g, None, w("stable-violation", (0, 1)))
 
 
 def test_repeated_path_vertex_is_rejected_not_raised():
