@@ -3,7 +3,16 @@
 A witness pins down one concrete occurrence of a pattern inside a host
 graph: which vertices play which roles. ``validate_witness`` replays the
 claim against the host from scratch, so a detector bug cannot certify
-itself.
+itself. It shares no code with the detectors or the oracle.
+
+Every kind but theta and stable violation is replayed by two shared
+checks. The shape is an induced cycle (``_is_cycle``: a triangle of
+exactly 3 vertices, a hole or a wheel's rim of at least 4) or an
+induced path (``Graph.is_induced_path``: a fan's, a guarded fan's or a
+mountable path's order). The hits rule reads one row, the hub's or
+pivot's neighbours, or for a mountable path the tip set, as if an apex
+joined to every tip were its pivot: the order's vertices in that row
+must be the claimed hits, and there must be enough of them.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ WITNESS_KINDS = (
     "mountable-path",
     "stable-violation",
 )
+_TIP_KINDS = ("guarded-fan", "mountable-path", "stable-violation")
 
 
 class Witness(_Record):
@@ -67,19 +77,6 @@ class Witness(_Record):
         return frozenset(out)
 
 
-def _is_hole(g: Graph, cyc: tuple[int, ...]) -> bool:
-    if len(cyc) < 4 or len(set(cyc)) != len(cyc):
-        return False
-    L = len(cyc)
-    for i in range(L):
-        for j in range(i + 1, L):
-            adjacent = bool(g.adj[cyc[i]] >> cyc[j] & 1)
-            consecutive = j == i + 1 or (i == 0 and j == L - 1)
-            if adjacent != consecutive:
-                return False
-    return True
-
-
 def _distinct(*groups) -> bool:
     seen: set[int] = set()
     for grp in groups:
@@ -90,91 +87,91 @@ def _distinct(*groups) -> bool:
     return True
 
 
+def _is_cycle(g: Graph, cyc: tuple[int, ...]) -> bool:
+    """True iff the distinct vertices ``cyc`` induce a cycle in this
+    cyclic order.
+
+    The order less its last vertex and the order less its first must
+    both be induced paths, and the two ends adjacent. This is exact:
+    every pair of vertices on the cycle except the two ends lies on one
+    of those paths, which fixes its adjacency, and the ends are the one
+    pair left.
+    """
+    return (g.is_induced_path(cyc[:-1]) and g.is_induced_path(cyc[1:])
+            and bool(g.adj[cyc[0]] >> cyc[-1] & 1))
+
+
+def _is_theta(g: Graph, w: Witness) -> bool:
+    if len(w.paths) != 3 or len(w.vertices) != 2:
+        return False
+    a, b = w.vertices
+    if g.adj[a] >> b & 1:
+        return False
+    interiors = []
+    for p in w.paths:
+        if len(p) < 3 or p[0] != a or p[-1] != b:
+            return False
+        if not _distinct(p) or not g.is_induced_path(p):
+            return False
+        interiors.append(p[1:-1])
+    if not _distinct(*interiors):
+        return False
+    for i in range(3):
+        mi = mask_of(interiors[i])
+        for j in range(i + 1, 3):
+            if any(g.adj[v] & mi for v in interiors[j]):
+                return False
+    return True
+
+
 def validate_witness(g: Graph, tips: frozenset[int] | None, w: Witness) -> bool:
     """Replay ``w`` against ``g`` (and ``tips`` for tip-aware kinds).
 
     Returns True iff the claimed vertices induce exactly the claimed
     pattern. Raises ``InvalidVertexError`` on out-of-range vertex ids.
+
+    Every kind but theta and stable violation goes through two shared
+    checks. The shape: a triangle is a cycle of exactly 3 vertices, a
+    hole and a wheel's rim are cycles of at least 4 (``_is_cycle``),
+    and the fans' and the mountable path's orders are induced paths.
+    The hits: the row is the center's for a wheel, fan or guarded fan,
+    and the center must lie off the shape; for a mountable path it is
+    the tip set, as if an apex joined to every tip were its pivot. The
+    order's vertices in that row must equal the claimed hits as sets,
+    at least ``max(3, k)`` of them for a wheel or fan and at least 3 for
+    a guarded fan or mountable path, and a guarded fan's two ends must
+    be tips. A ``tips`` of None rejects every tip kind.
     """
     for v in w.support():
         g.check_vertex(v)
-
-    if w.kind == "triangle":
-        a = w.vertices
-        return len(a) == 3 and len(set(a)) == 3 and all(
-            g.adj[a[i]] >> a[j] & 1 for i in range(3) for j in range(i + 1, 3)
-        )
-
-    if w.kind == "hole":
-        return _is_hole(g, w.vertices)
-
-    if w.kind == "wheel":
-        hub = w.center
-        if hub is None or hub in w.vertices:
+    kind, order = w.kind, w.vertices
+    if tips is None and kind in _TIP_KINDS:
+        return False
+    if kind == "stable-violation":
+        if len(order) != 2:
             return False
-        if not _is_hole(g, w.vertices):
-            return False
-        rim_hits = tuple(v for v in w.vertices if g.adj[hub] >> v & 1)
-        if set(rim_hits) != set(w.hits):
-            return False
-        return len(rim_hits) >= max(3, w.k)
-
-    if w.kind == "theta":
-        if len(w.paths) != 3 or len(w.vertices) != 2:
-            return False
-        a, b = w.vertices
-        if g.adj[a] >> b & 1:
-            return False
-        interiors = []
-        for p in w.paths:
-            if len(p) < 3 or p[0] != a or p[-1] != b:
-                return False
-            if not _distinct(p) or not g.is_induced_path(p):
-                return False
-            interiors.append(p[1:-1])
-        if not _distinct(*interiors):
-            return False
-        for i in range(3):
-            mi = mask_of(interiors[i])
-            for j in range(i + 1, 3):
-                if any(g.adj[v] & mi for v in interiors[j]):
-                    return False
-        return True
-
-    if w.kind in ("fan", "guarded-fan"):
-        pivot = w.center
-        path = w.vertices
-        if pivot is None or pivot in path:
-            return False
-        if not _distinct(path) or not g.is_induced_path(path):
-            return False
-        actual_hits = tuple(v for v in path if g.adj[pivot] >> v & 1)
-        if set(actual_hits) != set(w.hits):
-            return False
-        need = max(3, w.k) if w.kind == "fan" else 3
-        if len(actual_hits) < need:
-            return False
-        if w.kind == "guarded-fan":
-            if tips is None:
-                return False
-            return path[0] in tips and path[-1] in tips
-        return True
-
-    if w.kind == "mountable-path":
-        if tips is None:
-            return False
-        path = w.vertices
-        if not _distinct(path) or not g.is_induced_path(path):
-            return False
-        on_path_tips = tuple(v for v in path if v in tips)
-        if set(w.hits) != set(on_path_tips):
-            return False
-        return len(on_path_tips) >= 3
-
-    if w.kind == "stable-violation":
-        if tips is None or len(w.vertices) != 2:
-            return False
-        u, v = w.vertices
+        u, v = order
         return u in tips and v in tips and bool(g.adj[u] >> v & 1)
-
-    return False  # pragma: no cover - kinds are closed by __init__
+    if kind == "theta":
+        return _is_theta(g, w)
+    if not _distinct(order):
+        return False
+    if kind in ("triangle", "hole", "wheel"):
+        size_ok = len(order) == 3 if kind == "triangle" else len(order) >= 4
+        if not size_ok or not _is_cycle(g, order):
+            return False
+        if kind != "wheel":
+            return True
+    elif not g.is_induced_path(order):
+        return False
+    if kind == "mountable-path":
+        hits = {v for v in order if v in tips}
+    elif w.center is None or w.center in order:
+        return False
+    else:
+        row = g.adj[w.center]
+        hits = {v for v in order if row >> v & 1}
+    need = max(3, w.k) if kind in ("wheel", "fan") else 3
+    if hits != set(w.hits) or len(hits) < need:
+        return False
+    return kind != "guarded-fan" or order[0] in tips and order[-1] in tips

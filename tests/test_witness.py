@@ -5,9 +5,19 @@ validator must be usable as an independent check on detector output, so
 it cannot trust any field.
 """
 
+import hashlib
+import random
+from collections import Counter
+
 import pytest
 
-from burling import Graph, Witness, validate_witness, InvalidArgumentError
+from burling import (
+    Graph, Witness, validate_witness, BurlingError, InvalidArgumentError,
+    WITNESS_KINDS,
+)
+from burling import oracle
+
+from conftest import make_random_graph, make_random_graft
 
 P6 = Graph.from_edges(6, [(i, i + 1) for i in range(5)])
 
@@ -26,6 +36,8 @@ def test_triangle():
     assert validate_witness(g, None, w("triangle", (0, 1, 2)))
     assert not validate_witness(g, None, w("triangle", (0, 1, 3)))
     assert not validate_witness(g, None, w("triangle", (0, 0, 1)))
+    # a path's ends are not adjacent
+    assert not validate_witness(P6, None, w("triangle", (0, 1, 2)))
 
 
 def test_hole_needs_chordless_cycle():
@@ -37,6 +49,8 @@ def test_hole_needs_chordless_cycle():
     # triangles are not holes
     k3 = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     assert not validate_witness(k3, None, w("hole", (0, 1, 2)))
+    # nor are paths
+    assert not validate_witness(P6, None, w("hole", (0, 1, 2, 3)))
 
 
 def test_wheel(wheel6):
@@ -137,3 +151,82 @@ def test_out_of_range_vertices_raise():
     g = Graph.from_edges(3, [(0, 1)])
     with pytest.raises(InvalidVertexError):
         validate_witness(g, None, w("triangle", (0, 1, 7)))
+
+
+def _variants(rng, wit, n):
+    """The witness, then its corruptions: the order reversed, rotated,
+    cut short, extended by a random vertex (out of range one time in
+    n + 1) or by its first vertex, two of its vertices swapped, k + 2,
+    one hit dropped or added, the centre moved, cleared or put on the
+    shape, the same fields under every other kind, and for a theta two
+    paths, a repeated path or a path cut short."""
+    vs, hits, paths = wit.vertices, wit.hits, wit.paths
+
+    def as_(**change):
+        fields = {"kind": wit.kind, "vertices": vs, "center": wit.center,
+                  "k": wit.k, "hits": hits, "paths": paths}
+        return Witness(**{**fields, **change})
+
+    swapped = list(vs)
+    i, j = rng.sample(range(len(vs)), 2)
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    drop = rng.randrange(len(hits)) if hits else 0
+    out = [wit, as_(vertices=vs[::-1]), as_(vertices=vs[1:] + vs[:1]),
+           as_(vertices=vs[:-1]), as_(vertices=vs + (rng.randrange(n + 1),)),
+           as_(vertices=vs + vs[:1]), as_(vertices=swapped), as_(k=wit.k + 2),
+           as_(hits=hits[:drop] + hits[drop + 1:]),
+           as_(hits=hits + (rng.randrange(n),)),
+           as_(center=rng.randrange(n)), as_(center=None),
+           as_(center=vs[rng.randrange(len(vs))])]
+    out += [as_(kind=kd) for kd in WITNESS_KINDS if kd != wit.kind]
+    if paths:
+        out += [as_(paths=paths[:2]), as_(paths=(paths[0],) * 2 + paths[1:2]),
+                as_(paths=paths[:2] + (paths[2][:-1],))]
+    return out
+
+
+def test_verdicts_pinned():
+    # sha256 of every verdict (or exception name) over the oracle's
+    # witnesses on a seeded corpus and their corruptions, each under the
+    # graph's tips and, where it has some, under None; frozen so a
+    # rewrite of the validator must return every verdict unchanged
+    rng = random.Random(71)
+    lines = []
+    tally = Counter()
+    for i in range(1000):
+        k = rng.choice((3, 4, 5))
+        if i % 3 == 2:
+            gf = make_random_graft(rng, 10)
+            g, tips = gf.graph, gf.tips
+        else:
+            g = make_random_graph(rng, rng.randint(1, 10))
+            tips = None if i % 3 == 0 else frozenset()
+        kinds = oracle._KINDS if tips is not None else oracle._KINDS[:5]
+        found = oracle._first_witnesses(g, tips, kinds, k).values()
+        wits = [wt for wt in found if wt is not None]
+        if tips is not None:
+            ts = sorted(tips)
+            wits += [Witness("stable-violation", (u, v)) for u in ts
+                     for v in ts if u < v and g.adj[u] >> v & 1]
+        for wit in wits:
+            for var in _variants(rng, wit, g.n):
+                for t in dict.fromkeys((tips, None)):
+                    try:
+                        out = validate_witness(g, t, var)
+                    except BurlingError as e:
+                        out = type(e).__name__
+                    lines.append(f"{var!r}|{t is None}|{out}")
+                    tally[var.kind, out] += 1
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == (
+        "0c004fccfd59d90ad54e68117f0cfd213a900e2db449e229fd4b5c960e4c6718")
+    counts = {kind: tuple(tally[kind, out] for out in
+                          (True, False, "InvalidVertexError"))
+              for kind in WITNESS_KINDS}
+    assert counts == {
+        "triangle": (7700, 4250, 85), "hole": (5346, 3951, 74),
+        "wheel": (1002, 4898, 27), "theta": (1575, 4577, 18),
+        "fan": (1156, 6270, 37), "guarded-fan": (210, 3939, 14),
+        "mountable-path": (368, 3709, 14),
+        "stable-violation": (1900, 5427, 28)}
+    assert sum(tally.values()) == len(lines) == 56575
